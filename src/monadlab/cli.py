@@ -26,7 +26,10 @@ EXIT_USAGE = 2
 
 def _default_prime() -> int:
     raw = os.environ.get("MONADLAB_PRIME", "")
-    return int(raw) if raw else DEFAULT_PRIME
+    try:
+        return int(raw) if raw else DEFAULT_PRIME
+    except ValueError:
+        raise ValueError(f"MONADLAB_PRIME must be an integer, got {raw!r}") from None
 
 
 def _dump(obj) -> str:
@@ -219,8 +222,8 @@ def _cmd_splitting(args) -> int:
         obj = {"line": line.to_json_obj(), "status": "degenerate",
                "detail": status.to_json_obj(pc.field)}
         _emit(_dump(obj), args.out)
-        print("monadlab: left map degenerates on this line; no splitting",
-              file=sys.stderr)
+        print(f"monadlab: {status.degenerate_map} map degenerates on this line; "
+              "no splitting", file=sys.stderr)
         return EXIT_MATH
     parts = pencil.splitting_type(pc)
     lo, hi = -pc.v - 2, pc.v_prime + 2
@@ -400,13 +403,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # the parser reads MONADLAB_PRIME, so a bad value is a usage error too
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        return args.func(args)
     except MonadDecodeError as exc:
         print(f"monadlab: bad input file: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -22,7 +22,7 @@ class NotLocallyFreeError(MonadLabError):
 
 
 class AlphaDegenerateError(MonadLabError):
-    """The left map degenerates on the whole line; no splitting is reported."""
+    """The left or right map degenerates on the line; no splitting is reported."""
 
 
 class ReconstructionError(MonadLabError):

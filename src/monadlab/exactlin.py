@@ -604,33 +604,42 @@ def mult_map(L: LinearFormMatrix, d: int) -> DenseMatrix:
     Basis index of u_j (x) m_a is j*|S_d| + a, in monomial_basis order.
     Shape (nrows*|S_{d+1}|) x (ncols*|S_d|).
     """
+    return shift_map(L, monomial_exponents(L.nvars, d),
+                     monomial_index(L.nvars, d + 1))
+
+
+def shift_map(L: LinearFormMatrix, dom, cod_idx: dict) -> DenseMatrix:
+    """Matrix of (u (x) x^e) |-> sum_t L_t u (x) x^(e + 1_t) on monomial bases.
+
+    dom lists the domain exponent vectors and cod_idx maps the codomain
+    ones to their positions; a product whose exponent is not in cod_idx is
+    dropped.  Basis index of u_j (x) x^dom[a] is j*len(dom) + a.
+    """
     f = L.field
-    m = L.nvars
-    dom = monomial_exponents(m, d)
-    cod = monomial_exponents(m, d + 1)
-    cod_idx = monomial_index(m, d + 1)
-    nrows = L.nrows * len(cod)
-    ncols = L.ncols * len(dom)
-    data = [[f.zero()] * ncols for _ in range(nrows)]
-    ncod = len(cod)
     ndom = len(dom)
-    for t in range(m):
+    ncod = len(cod_idx)
+    nrows = L.nrows * ncod
+    ncols = L.ncols * ndom
+    data = [[f.zero()] * ncols for _ in range(nrows)]
+    for t in range(L.nvars):
         block = L.coeffs[t].data
-        # target monomial index of x_t * m_a, computed once per (t, a)
+        # (domain index, codomain index) of x_t * x^e, computed once per (t, e)
         shifted = []
-        for e in dom:
+        for a, e in enumerate(dom):
             e2 = list(e)
             e2[t] += 1
-            shifted.append(cod_idx[tuple(e2)])
+            b = cod_idx.get(tuple(e2))
+            if b is not None:
+                shifted.append((a, b))
         for i in range(L.nrows):
             brow = block[i]
+            row_base = i * ncod
             for j in range(L.ncols):
                 c = brow[j]
                 if c == 0:
                     continue
                 col_base = j * ndom
-                row_base = i * ncod
-                for a, b in enumerate(shifted):
+                for a, b in shifted:
                     r = data[row_base + b]
                     cidx = col_base + a
                     r[cidx] = f.add(r[cidx], c)

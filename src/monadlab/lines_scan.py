@@ -5,6 +5,11 @@ desk scale is to sample lines over finite fields and count.  Everything
 here is seeded: line i of a scan is drawn from hash(seed, i), so serial
 and parallel runs agree and reports are byte-identical across machines.
 
+Every scan splits its lines through one path, _line_splitting.  A line
+where either map of the monad drops rank somewhere (pencil.line_status)
+is counted as degenerate, so a prime where the reduction is not a monad
+at some points only loses the lines through those points.
+
 "Certified" is reserved for exact positive witnesses over Q (a trivial
 splitting computed in exact arithmetic); every negative or statistical
 statement carries its (prime, samples, seed).
@@ -20,7 +25,7 @@ from ._seeds import rng_for
 from .errors import MonadLabError, NotLocallyFreeError
 from .exactlin import QQ, PrimeField
 from .monad import COEFF_BOUND, SpecialMonad, invariants, to_prime_field
-from .pencil import Line, jump_size_rank2, line_status, restrict, splitting_type
+from .pencil import Line, line_status, restrict, splitting_type
 
 MAX_SAMPLES = 10 ** 6
 WITNESS_CAP = 32
@@ -57,14 +62,21 @@ def _check_samples(samples: int):
         raise ValueError("need at least one sample")
 
 
-def _line_splitting(M_scan: SpecialMonad, line: Line, rank2_c1_0: bool):
-    """(status, splitting parts or None) for one line."""
-    pc = restrict(M_scan, line)
+def _line_splitting(M: SpecialMonad, line: Line):
+    """(status, splitting parts or None) for one line.
+
+    For c1 = 0 the parts a_i sum to 0, so h^0(E|_L(-1)) = sum max(0, a_i)
+    vanishes iff the splitting is trivial.  At twist -1 only the connecting
+    map of p1_cohomology contributes, and its matrix is B_t A_s, so
+    h^0(E|_L(-1)) = v - rank(B_t A_s): one v x v rank settles a line that
+    does not jump, in every rank.  The other lines, and every line when
+    c1 != 0, get the full reconstruction.
+    """
+    pc = restrict(M, line)
     if not line_status(pc).clean:
         return ("degenerate", None)
-    if rank2_c1_0:
-        a = jump_size_rank2(pc)
-        return ("clean", (a, -a))
+    if pc.c1 == 0 and pc.B.coeffs[1].matmul(pc.A.coeffs[0]).rank() == pc.v:
+        return ("clean", (0,) * pc.rank)
     return ("clean", splitting_type(pc).parts)
 
 
@@ -131,19 +143,17 @@ def jumping_scan(M: SpecialMonad, prime: int, samples: int, seed: int = 0,
     """Splitting statistics over `samples` random lines mod a prime.
 
     A line is jumping when its splitting is non-trivial; lines where the
-    left map degenerates are counted separately.  Requires a locally-free
-    sheaf with c1 = 0.
+    reduced left or right map drops rank are counted separately as
+    degenerate.  Requires a locally-free sheaf with c1 = 0.
     """
     _require_locally_free(M, classification)
-    inv = invariants(M)
-    if inv.c1 != 0:
+    if invariants(M).c1 != 0:
         raise ValueError("jumping scans are defined for c1 = 0 sheaves")
     _check_samples(samples)
     field = PrimeField(prime)
     M_scan = to_prime_field(M, prime) if M.field == QQ else M
     if M_scan.field != field:
         raise MonadLabError(f"monad lives over {M.field.name}, cannot scan mod {prime}")
-    fast = inv.rank == 2
     jumping = 0
     degenerate = 0
     spectrum: dict[tuple[int, ...], int] = {}
@@ -151,7 +161,7 @@ def jumping_scan(M: SpecialMonad, prime: int, samples: int, seed: int = 0,
     outcomes: list[LineOutcome] = []
     for i in range(samples):
         line = sample_line(seed, i, field, M.ambient_n)
-        status, parts = _line_splitting(M_scan, line, fast)
+        status, parts = _line_splitting(M_scan, line)
         if status == "degenerate":
             degenerate += 1
         else:
@@ -208,7 +218,7 @@ def trivial_splitting_test(M: SpecialMonad, samples: int = 10, seed: int = 0) ->
     degenerate = 0
     for i in range(samples):
         line = sample_line(seed, i, M.field, M.ambient_n)
-        status, parts = _line_splitting(M, line, False)
+        status, parts = _line_splitting(M, line)
         if status == "degenerate":
             degenerate += 1
             continue
@@ -358,7 +368,7 @@ def uniformity_evidence(M: SpecialMonad, samples: int = 50, seed: int = 0,
     lines = list(extra_lines) + [sample_line(seed, i, M.field, M.ambient_n)
                                  for i in range(samples)]
     for line in lines:
-        status, parts = _line_splitting(M, line, False)
+        status, parts = _line_splitting(M, line)
         if status == "degenerate":
             degenerate += 1
             continue

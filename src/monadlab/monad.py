@@ -246,7 +246,8 @@ def _fmt_point(field, point) -> list[str]:
     return [field.fmt(x) for x in point]
 
 
-def _random_point(rng, field, nvars: int):
+def random_point(rng, field, nvars: int):
+    """A random nonzero vector: residues over F_p, the coefficient box over Q."""
     while True:
         if field.kind == "Fp":
             pt = [rng.randrange(field.p) for _ in range(nvars)]
@@ -256,13 +257,25 @@ def _random_point(rng, field, nvars: int):
             return pt
 
 
-def _projective_points(field, nvars: int):
-    """All points of P^{nvars-1} over a prime field, one representative each."""
-    p = field.p
+def projective_points(p: int, nvars: int):
+    """All points of P^{nvars-1}(F_p), one representative each (first nonzero
+    coordinate 1), ordered by the position of that coordinate, then the rest
+    lexicographically."""
     for lead in range(nvars):
         tail = nvars - lead - 1
         for rest in itertools.product(range(p), repeat=tail):
             yield [0] * lead + [1] + list(rest)
+
+
+def lift_drops_rank(L: LinearFormMatrix, pt, full: int) -> bool:
+    """Recheck a rank drop of L seen mod q at the point pt of F_q.
+
+    A drop mod q proves nothing over Q, so a rational L is evaluated at the
+    integer lift of pt; a drop seen in L's own prime field stands as is.
+    """
+    if L.field.kind == "Fp":
+        return True
+    return L.at([int(x) for x in pt]).rank() < full
 
 
 def _check_beta_surjective(M: SpecialMonad, budget: ValidationBudget) -> CheckResult:
@@ -289,20 +302,21 @@ def _check_beta_surjective(M: SpecialMonad, budget: ValidationBudget) -> CheckRe
 
     # v' >= 2: decide by sampling; full enumeration over small prime fields,
     # random points over a large one, random rational points.
+    def failure(pt, where="a rational point"):
+        return CheckResult(name, False, "exact", f"rank drop at {where}",
+                           witness=_fmt_point(M.field, pt))
+
+    enum_where = "a rational point" if M.field == QQ else f"a point over {M.field.name}"
     checked = 0
     for q in budget.enum_primes:
         try:
-            Mq = to_prime_field(M, q) if M.field == QQ else (M if M.field.kind == "Fp" and M.field.p == q else None)
+            Mq = to_prime_field(M, q)
         except MonadLabError:
             continue
-        if Mq is None:
-            continue
-        for pt in _projective_points(Mq.field, n + 1):
+        for pt in projective_points(q, n + 1):
             checked += 1
-            if Mq.beta.at(pt).rank() < vp:
-                res = _confirm_beta_failure(M, pt, q)
-                if res is not None:
-                    return res
+            if Mq.beta.at(pt).rank() < vp and lift_drops_rank(M.beta, pt, vp):
+                return failure(pt, enum_where)
     rng = rng_for("validate-beta", budget.seed, M.w, M.v_prime)
     if M.field == QQ:
         try:
@@ -311,43 +325,18 @@ def _check_beta_surjective(M: SpecialMonad, budget: ValidationBudget) -> CheckRe
             Mp = None
         if Mp is not None:
             for _ in range(budget.fp_samples):
-                pt = _random_point(rng, Mp.field, n + 1)
+                pt = random_point(rng, Mp.field, n + 1)
                 checked += 1
-                if Mp.beta.at(pt).rank() < vp:
-                    res = _confirm_beta_failure(M, pt, budget.fp_prime)
-                    if res is not None:
-                        return res
-        for _ in range(budget.qq_samples):
-            pt = _random_point(rng, QQ, n + 1)
-            checked += 1
-            if M.beta.at(pt).rank() < vp:
-                return CheckResult("beta_surjective", False, "exact",
-                                   "rank drop at a rational point",
-                                   witness=_fmt_point(QQ, pt))
-    else:
-        for _ in range(budget.fp_samples):
-            pt = _random_point(rng, M.field, n + 1)
-            checked += 1
-            if M.beta.at(pt).rank() < vp:
-                return CheckResult("beta_surjective", False, "exact",
-                                   "rank drop at a rational point",
-                                   witness=_fmt_point(M.field, pt))
-    return CheckResult("beta_surjective", True, "monte_carlo",
+                if Mp.beta.at(pt).rank() < vp and lift_drops_rank(M.beta, pt, vp):
+                    return failure(pt)
+    samples = budget.qq_samples if M.field == QQ else budget.fp_samples
+    for _ in range(samples):
+        pt = random_point(rng, M.field, n + 1)
+        checked += 1
+        if M.beta.at(pt).rank() < vp:
+            return failure(pt)
+    return CheckResult(name, True, "monte_carlo",
                        f"no rank drop at {checked} sampled/enumerated points")
-
-
-def _confirm_beta_failure(M: SpecialMonad, pt, q: int) -> CheckResult | None:
-    """A rank drop over F_q proves nothing over Q; recheck the integer lift."""
-    if M.field.kind == "Fp":
-        return CheckResult("beta_surjective", False, "exact",
-                           f"rank drop at a point over {M.field.name}",
-                           witness=_fmt_point(M.field, pt))
-    lift = [Fraction(int(x)) for x in pt]
-    if M.beta.at(lift).rank() < M.v_prime:
-        return CheckResult("beta_surjective", False, "exact",
-                           "rank drop at a rational point",
-                           witness=_fmt_point(QQ, lift))
-    return None  # mod-q artifact; keep scanning
 
 
 def _check_alpha_injective(M: SpecialMonad, budget: ValidationBudget) -> CheckResult:
@@ -358,7 +347,7 @@ def _check_alpha_injective(M: SpecialMonad, budget: ValidationBudget) -> CheckRe
         return CheckResult(name, True, "exact", "empty left map")
     rng = rng_for("validate-alpha", budget.seed, M.w, M.v)
     for _ in range(budget.alpha_samples):
-        pt = _random_point(rng, M.field, n + 1)
+        pt = random_point(rng, M.field, n + 1)
         if M.alpha.at(pt).rank() == v:
             return CheckResult(name, True, "exact",
                                "full column rank at a sampled point",

@@ -5,11 +5,11 @@ parametrization into the monad's linear forms gives a pencil complex
 
     (s A_s + t A_t,  s B_s + t B_t)
 
-of binary linear forms.  When the left pencil keeps full column rank at
-every point of the line (all maximal minors coprime, decided exactly via
-binary-form gcds) the complex computes the restricted sheaf, and its
-hypercohomology in every twist follows from the two-chart Laurent model
-of P1:
+of binary linear forms.  When the line is clean, that is the left pencil
+keeps full column rank and the right pencil full row rank at every point
+of the line (both decided exactly, see line_status), the complex computes
+the restricted sheaf, and its hypercohomology in every twist follows from
+the two-chart Laurent model of P1:
 
     H^0(O(d)) = span{ s^a t^b : a, b >= 0,  a+b = d }
     H^1(O(d)) = span{ s^a t^b : a, b <= -1, a+b = d }
@@ -37,6 +37,7 @@ from .exactlin import (
     compose_check,
     monomial_count,
     mult_map,
+    shift_map,
 )
 from .monad import SpecialMonad
 
@@ -128,6 +129,7 @@ class LineStatus:
     clean: bool
     gcd_coeffs: list | None = None   # common factor of the minors, when not clean
     note: str = ""
+    degenerate_map: str = ""         # "left" or "right", when not clean
 
     def to_json_obj(self, field=None):
         gcd = None
@@ -137,27 +139,33 @@ class LineStatus:
 
 
 def line_status(pc: PencilComplex) -> LineStatus:
-    """Clean iff the maximal minors of the left pencil have no common root.
+    """Clean iff both maps keep full rank at every point of the line.
 
-    Decided exactly: the gcd of the minor binary forms is a nonzero
-    constant iff the left map stays injective over the algebraic closure
-    of the whole line.  The verdict is cached on the pencil.
+    Decided exactly, over the algebraic closure of the whole line.  The
+    left map stays injective iff the gcd of its maximal-minor binary forms
+    is a nonzero constant.  The right map O^w -> O(1)^v' stays surjective
+    iff it is surjective on sections in twist v'-1: a pointwise surjection
+    has a kernel with summands of degree >= -v', whose H^1 vanishes in that
+    twist; conversely, a surjection onto the sections of the globally
+    generated O(v')^v' is onto at every point.  The verdict is cached on
+    the pencil.
     """
     if pc._status is not None:
         return pc._status
-    if pc.v == 0:
-        status = LineStatus(True, note="empty left map")
+    kind, coeffs = pencil_minor_gcd(pc.field, pc.A.coeffs[0], pc.A.coeffs[1], pc.v)
+    vp = pc.v_prime
+    if kind == "zero":
+        status = LineStatus(False, None,
+                            "left map drops rank identically on the line", "left")
+    elif kind == "form":
+        status = LineStatus(False, coeffs,
+                            "maximal minors share a common factor; roots "
+                            "left unfactored", "left")
+    elif vp and mult_map(pc.B, vp - 1).rank() < vp * (vp + 1):
+        status = LineStatus(False, None,
+                            "right map drops rank at a point of the line", "right")
     else:
-        kind, coeffs = pencil_minor_gcd(pc.field, pc.A.coeffs[0], pc.A.coeffs[1], pc.v)
-        if kind == "constant":
-            status = LineStatus(True)
-        elif kind == "zero":
-            status = LineStatus(False, None,
-                                "left map drops rank identically on the line")
-        else:
-            status = LineStatus(False, coeffs,
-                                "maximal minors share a common factor; roots "
-                                "left unfactored")
+        status = LineStatus(True, note="empty left map" if pc.v == 0 else "")
     pc._status = status
     return status
 
@@ -181,32 +189,8 @@ def _h1_mult(L: LinearFormMatrix, d: int) -> DenseMatrix:
     Multiplying a principal-part monomial by a linear form either stays in
     the principal part or becomes a coboundary; coboundaries are dropped.
     """
-    f = L.field
-    dom = _h1_exponents(d)
     cod = _h1_exponents(d + 1)
-    cod_idx = {e: i for i, e in enumerate(cod)}
-    nrows = L.nrows * len(cod)
-    ncols = L.ncols * len(dom)
-    data = [[f.zero()] * ncols for _ in range(nrows)]
-    for t in range(2):
-        block = L.coeffs[t].data
-        shifted = []
-        for (a, b) in dom:
-            e2 = (a + 1, b) if t == 0 else (a, b + 1)
-            shifted.append(cod_idx.get(e2))
-        for i in range(L.nrows):
-            brow = block[i]
-            for j in range(L.ncols):
-                c = brow[j]
-                if c == 0:
-                    continue
-                for k, tgt in enumerate(shifted):
-                    if tgt is None:
-                        continue
-                    row = data[i * len(cod) + tgt]
-                    col = j * len(dom) + k
-                    row[col] = f.add(row[col], c)
-    return DenseMatrix(f, nrows, ncols, data)
+    return shift_map(L, _h1_exponents(d), {e: i for i, e in enumerate(cod)})
 
 
 def _laurent_multiply(L: LinearFormMatrix, vec_terms: dict) -> dict:
@@ -244,8 +228,8 @@ def p1_cohomology(pc: PencilComplex, k: int) -> tuple[int, int]:
     status = line_status(pc)
     if not status.clean:
         raise AlphaDegenerateError(
-            "left map degenerates on the line; restricted cohomology is not "
-            "the sheaf restriction")
+            f"{status.degenerate_map} map degenerates on the line; restricted "
+            "cohomology is not the sheaf restriction")
     f = pc.field
     v, w, vp = pc.v, pc.w, pc.v_prime
     S = lambda d: monomial_count(2, d)
@@ -347,11 +331,9 @@ def splitting_type(pc: PencilComplex) -> SplittingType:
     degree lies in [-v', v] by the two-step presentation through ker of
     the right map and its dual).  The reconstruction is then re-verified
     against every measured h^0 and h^1; a mismatch raises
-    ReconstructionError and signals an engine defect.
+    ReconstructionError and signals an engine defect.  A line that is not
+    clean raises AlphaDegenerateError.
     """
-    status = line_status(pc)
-    if not status.clean:
-        raise AlphaDegenerateError("no splitting on a degenerate line")
     v, vp = pc.v, pc.v_prime
     lo, hi = -v - 3, vp + 2
     measured = {k: p1_cohomology(pc, k) for k in range(lo, hi + 1)}
@@ -379,17 +361,3 @@ def splitting_type(pc: PencilComplex) -> SplittingType:
                 f"splitting {parts} predicts {(want_h0, want_h1)} at twist {k}, "
                 f"measured {measured[k]}")
     return SplittingType(parts)
-
-
-def jump_size_rank2(pc: PencilComplex) -> int:
-    """h^0 of the restriction at twist -1; for rank 2, c1 = 0 the splitting
-    is (a, -a) with a equal to this number.
-
-    Closed form: at twist -1 the only contribution is the connecting map,
-    whose matrix is B_t A_s, so h^0 = v - rank(B_t A_s).
-    """
-    status = line_status(pc)
-    if not status.clean:
-        raise AlphaDegenerateError("no splitting on a degenerate line")
-    prod = pc.B.coeffs[1].matmul(pc.A.coeffs[0])
-    return pc.v - prod.rank()

@@ -17,7 +17,6 @@ verdicts are Monte-Carlo and are never upgraded to exact.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field as dc_field
 
 from . import monad as monad_mod
@@ -117,26 +116,12 @@ def _reduce(L: LinearFormMatrix, p: int) -> LinearFormMatrix:
             f"cannot reduce mod {p}: {exc}; pick a different scan prime") from exc
 
 
-def _rand_point(rng, p: int, nvars: int):
-    while True:
-        pt = [rng.randrange(p) for _ in range(nvars)]
-        if any(pt):
-            return pt
-
-
 def _rand_subspace(rng, p: int, nvars: int, dim_plus_1: int, field):
     """Rows spanning a projective subspace of dimension dim_plus_1 - 1."""
     while True:
         rows = [[rng.randrange(p) for _ in range(nvars)] for _ in range(dim_plus_1)]
         if DenseMatrix(field, dim_plus_1, nvars, rows).rank() == dim_plus_1:
             return rows
-
-
-def _proj_reps(p: int, m: int):
-    """Representatives of P^{m-1}(F_p)."""
-    for lead in range(m):
-        for rest in itertools.product(range(p), repeat=m - lead - 1):
-            yield (0,) * lead + (1,) + rest
 
 
 def degeneracy_dim(L: LinearFormMatrix, full_rank: int | None = None,
@@ -169,22 +154,14 @@ def degeneracy_dim(L: LinearFormMatrix, full_rank: int | None = None,
         "enum_prime": enum_p,
         "slices": budget.slices,
     }
-    rational = T.field.kind == "Q"
-
-    def confirmed(pt) -> bool:
-        """A mod-q rank drop proves nothing over Q; recheck the integer lift."""
-        if not rational:
-            return True
-        return T.at([int(x) for x in pt]).rank() < full
-
     refused = False
     for d in range(n, -1, -1):
         e = n - d  # projective dimension of the slice
         if e == 0:
             rng = rng_for("degeneracy-pt", budget.seed, d)
             for _ in range(budget.slices):
-                pt = _rand_point(rng, p, n + 1)
-                if Tp.at(pt).rank() < full and confirmed(pt):
+                pt = monad_mod.random_point(rng, Tp.field, n + 1)
+                if Tp.at(pt).rank() < full and monad_mod.lift_drops_rank(T, pt, full):
                     return DegeneracyResult(
                         "dim", d, method, witness=_fmt_vec(Tp.field, pt),
                         note=f"rank drop at a random point over F_{p}")
@@ -216,8 +193,8 @@ def degeneracy_dim(L: LinearFormMatrix, full_rank: int | None = None,
                 # last resort: is the locus nonempty at all?  All larger
                 # dimensions were already ruled out, so any surviving point
                 # means a finite locus.
-                for pt in _proj_reps(qq, n + 1):
-                    if Tq.at(list(pt)).rank() < full and confirmed(pt):
+                for pt in monad_mod.projective_points(qq, n + 1):
+                    if Tq.at(pt).rank() < full and monad_mod.lift_drops_rank(T, pt, full):
                         return DegeneracyResult(
                             "dim", d, method, witness=_fmt_vec(Tq.field, pt),
                             note=f"rank drop found by full enumeration over F_{qq}")
@@ -227,7 +204,7 @@ def degeneracy_dim(L: LinearFormMatrix, full_rank: int | None = None,
             # an isolated hit must not decide the level: demand hits on a
             # fixed fraction of the slices.
             rng = rng_for("degeneracy-enum", budget.seed, d)
-            reps = list(_proj_reps(qq, e + 1))
+            reps = list(monad_mod.projective_points(qq, e + 1))
             needed = max(2, nslices // 5)
             hits = 0
             witness = None
@@ -241,7 +218,7 @@ def degeneracy_dim(L: LinearFormMatrix, full_rank: int | None = None,
                         if c:
                             for t in range(n + 1):
                                 pt[t] = (pt[t] + c * row[t]) % qq
-                    if Tq.at(pt).rank() < full and confirmed(pt):
+                    if Tq.at(pt).rank() < full and monad_mod.lift_drops_rank(T, pt, full):
                         hits += 1
                         witness = pt
                         break

@@ -161,6 +161,18 @@ def test_splitting_degenerate_line_exits_1(capsys, tmp_path):
                          "0,0,1,0;0,0,0,1")
     assert code == 1
     assert json.loads(out)["status"] == "degenerate"
+    assert "left map degenerates" in err
+
+    # mod 7 the right map of this monad has rank 1 everywhere
+    from monadlab import encode, random_monad, to_prime_field
+    bad_path = tmp_path / "bad7.json"
+    bad_path.write_bytes(encode(to_prime_field(random_monad(2, 6, 2, seed=3), 7)))
+    code, out, err = run(capsys, "splitting", str(bad_path), "--points",
+                         "1,0,0,0;0,1,0,0")
+    assert code == 1
+    assert json.loads(out)["detail"]["note"] == \
+        "right map drops rank at a point of the line"
+    assert "right map degenerates" in err
 
 
 def test_restrict_subcommand(capsys, lf_path):
@@ -218,6 +230,14 @@ def test_env_prime_default(capsys, lf_path, monkeypatch):
     code, out, _ = run(capsys, "jumping-scan", lf_path, "--samples", "50")
     assert code == 0
     assert json.loads(out)["prime"] == 101
+
+
+def test_bad_env_prime_is_a_usage_error(capsys, lf_path, monkeypatch):
+    monkeypatch.setenv("MONADLAB_PRIME", "abc")
+    code, out, err = run(capsys, "classify", lf_path)
+    assert code == 2 and out == ""
+    assert err.startswith("monadlab: ") and "MONADLAB_PRIME" in err
+    assert "Traceback" not in err
 
 
 def test_splitting_with_sampled_line(capsys, lf_path):

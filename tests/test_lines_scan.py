@@ -198,3 +198,96 @@ def test_scans_work_on_p2_monads():
     rep = jumping_scan(P, 101, 500, seed=0, classification=cls)
     assert rep.degenerate == 0
     assert 0 <= rep.fraction <= 6 / 101
+
+
+def _p2_monad():
+    from monadlab import SpecialMonad, forms_matrix
+    a2 = forms_matrix(QQ, 3, [["x"], ["y"], ["z"], ["0"]])
+    b2 = forms_matrix(QQ, 3, [["-y", "x", "0", "z"]])
+    return SpecialMonad(2, a2, b2)
+
+
+def test_line_splitting_matches_full_reconstruction():
+    # differential test of the single scan path: the c1 = 0 trivial-line
+    # rule must agree with the full reconstruction on every clean line,
+    # and a line must be degenerate exactly when line_status says so
+    from monadlab import random_monad, splitting_type
+    from monadlab.lines_scan import _line_splitting
+    lf = example_monad("locally-free")
+    corpus = [(lf, 5, 80), (lf, 101, 40), (direct_sum(lf, lf), 7, 40),
+              (_p2_monad(), 7, 40),
+              (random_monad(1, 4, 1, seed=4, field=GF(101)), 101, 40)]
+    for dims, seed in (((1, 5, 1), 2), ((1, 6, 1), 5), ((2, 6, 2), 1)):
+        M = random_monad(*dims, seed=seed)
+        corpus += [(M, 11, 40), (M, 101, 20)]
+    seen = {"trivial": 0, "jumping": 0}
+    for M, p, samples in corpus:
+        Mp = to_prime_field(M, p)
+        for i in range(samples):
+            line = sample_line(11, i, GF(p), M.ambient_n)
+            status, parts = _line_splitting(Mp, line)
+            pc = restrict(Mp, line)
+            assert (status == "clean") == line_status(pc).clean
+            if status == "degenerate":
+                continue
+            assert parts == splitting_type(pc).parts, (M.dims, p, i)
+            seen["jumping" if any(parts) else "trivial"] += 1
+    # both branches of the rule were exercised
+    assert seen["trivial"] > 100 and seen["jumping"] > 10, seen
+
+
+def _right_map_minor_gcd(pc):
+    """Oracle for the right map: its maximal minors on the line, by gcd."""
+    from monadlab._binforms import pencil_minor_gcd
+    return pencil_minor_gcd(pc.field, pc.B.coeffs[0].transpose(),
+                            pc.B.coeffs[1].transpose(), pc.v_prime)[0]
+
+
+@pytest.fixture(scope="module")
+def bad_reduction_monad():
+    """A (2,6,2) monad over Q whose right map degenerates mod 5 and mod 7."""
+    from monadlab import random_monad
+    M = random_monad(2, 6, 2, seed=3)
+    return M, classify(M)
+
+
+def test_scan_mod_a_prime_where_beta_degenerates_everywhere(bad_reduction_monad):
+    # mod 7 the right map has rank 1 at every point, so no line is clean
+    # and none may be reported as jumping
+    M, cls = bad_reduction_monad
+    rep = jumping_scan(M, 7, 300, seed=7, classification=cls)
+    assert (rep.jumping, rep.degenerate) == (0, 300)
+    assert rep.spectrum == {}
+
+
+def test_scan_mod_a_prime_where_beta_degenerates_at_some_points(bad_reduction_monad):
+    # mod 5 the right map drops rank at a few points; lines through them
+    # are degenerate, the others are scanned as usual
+    from monadlab.lines_scan import _line_splitting
+    from monadlab.monad import projective_points
+    M, cls = bad_reduction_monad
+    rep = jumping_scan(M, 5, 300, seed=7, classification=cls)
+    assert rep.degenerate > 0
+    assert rep.jumping + rep.degenerate < rep.samples
+    assert all(line_status(restrict(to_prime_field(M, 5), l)).clean
+               for l in rep.witnesses)
+
+    f = GF(5)
+    M5 = to_prime_field(M, 5)
+    drops = [pt for pt in projective_points(5, 4) if M5.beta.at(pt).rank() < 2]
+    assert drops
+    through = Line.from_points(f, drops[0], sample_line(1, 0, f).points[1])
+    pc = restrict(M5, through)
+    st = line_status(pc)
+    assert not st.clean and st.degenerate_map == "right"
+    assert _line_splitting(M5, through) == ("degenerate", None)
+    rep = uniformity_evidence(M5, samples=5, extra_lines=[through],
+                              classification=cls)
+    assert rep.degenerate >= 1
+
+    # the exact rank test agrees with the minor-gcd oracle line by line
+    for i in range(120):
+        line = sample_line(2, i, f)
+        pc = restrict(M5, line)
+        right_clean = _right_map_minor_gcd(pc) == "constant"
+        assert line_status(pc).clean == right_clean, i

@@ -11,7 +11,6 @@ import pytest
 
 from monadlab import (
     AlphaDegenerateError,
-    GF,
     Line,
     QQ,
     direct_sum,
@@ -25,7 +24,6 @@ from monadlab import (
     trivial_monad,
 )
 from monadlab.lines_scan import sample_line
-from monadlab.pencil import jump_size_rank2
 
 LINE_ZW = ([1, 0, 0, 0], [0, 1, 0, 0])     # {z = w = 0}
 LINE_YW = ([1, 0, 0, 0], [0, 0, 1, 0])     # {y = w = 0}, isotropic
@@ -65,6 +63,7 @@ def test_line_status():
     # on the singular line the left map vanishes identically
     st = line_status(restrict(Mtf, Line.from_points(QQ, *LINE_XY)))
     assert not st.clean and st.gcd_coeffs is None
+    assert st.degenerate_map == "left"
     # on a disjoint line it is clean
     assert line_status(restrict(Mtf, Line.from_points(QQ, *LINE_ZW))).clean
 
@@ -99,20 +98,6 @@ def test_jumping_line_of_the_locally_free_example():
     assert line_status(pc).clean
     assert p1_cohomology(pc, -1) == (1, 1)
     assert splitting_type(pc).parts == (1, -1)
-    assert jump_size_rank2(pc) == 1
-
-
-def test_fast_jump_detector_matches_full_reconstruction():
-    from monadlab import to_prime_field
-    M = example_monad("locally-free")
-    M5 = to_prime_field(M, 5)
-    for i in range(60):
-        line = sample_line(11, i, GF(5))
-        pc = restrict(M5, line)
-        if not line_status(pc).clean:
-            continue
-        a = jump_size_rank2(pc)
-        assert splitting_type(pc).parts == (a, -a)
 
 
 def test_degenerate_line_is_refused():
