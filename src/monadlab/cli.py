@@ -250,6 +250,10 @@ def _cmd_jumping_scan(args) -> int:
             for outcome in report.outcomes:
                 fh.write(json.dumps(outcome.to_json_obj(), sort_keys=True) + "\n")
     _emit(_dump(report.to_json_obj()), args.out)
+    if report.degenerate:
+        print(f"monadlab: warning: {report.degenerate} of {report.samples} sampled "
+              f"lines are degenerate mod {report.prime}; the reduction is not a "
+              "monad at some points", file=sys.stderr)
     return EXIT_OK
 
 

@@ -1,26 +1,31 @@
 """Exact twist cohomology of the cohomology sheaf of a special monad.
 
-Let E be the middle cohomology of O(-1)^v -> O^w -> O(1)^v' on P^n and
-write S_d for the degree-d piece of the coordinate ring.  Splitting the
-monad into the two short exact sequences through K = ker(beta) and using
-that line bundles on P^n have no middle cohomology, every h^p(E(k)) is a
-rank computation on four multiplication maps:
+Let E be the middle cohomology of O(-1)^v -> O^w -> O(1)^v' on P^n,
+n = 1, 2, 3, and write S_d for the degree-d piece of the coordinate ring.
+The hypercohomology spectral sequence of the twisted monad has
+E_1^{p,q} = H^q of its p-th term, nonzero only in rows q = 0 and q = n,
+because line bundles on P^n have no middle cohomology.  Every h^p(E(k))
+is then a rank computation on four multiplication maps:
 
     a_k : V (x) S_{k-1} -> W (x) S_k        (sections of the left map)
     b_k : W (x) S_k     -> V'(x) S_{k+1}    (sections of the right map)
 
-together with their transposes in the dual degrees j = -k-n-1 (the top
-cohomology of O(d) is dual to S_{-d-n-1}).  On P3:
+together with their transposes in the dual degrees j = -k-n-1 (by Serre
+duality the top cohomology of O(d) is dual to S_{-d-n-1}).  On P3:
 
     h^0 = dim ker b_k - rank a_k
     h^1 = v'|S_{k+1}| - rank b_k
     h^2 = v|S_{j+1}| - rank a*_j              j = -k-4
     h^3 = (w|S_j| - rank a*_j) - rank b*_{j-1}
 
-and on P2 the two middle contributions combine into h^1, with j = -k-3.
-The Euler characteristic identity and the dimension identities
-h^1(E(-1)) = v', h^2(E(-3)) = v are asserted on every call; a failure
-signals an engine defect, never a property of the input.
+On P2 the two middle contributions combine into h^1, with j = -k-3.  On
+P1 they fall into h^0 and h^1, and the sequence has one differential
+between nonzero terms, d_2 : H^1(O(-2))^v -> H^0(O)^v' at k = -1, whose
+matrix is B_t A_s (Okonek-Schneider-Spindler, ch. II); its rank is
+subtracted from both h^0 and h^1.  complex_cohomology is that one formula
+for all three n.  The Euler characteristic identity is asserted on every call, and
+twist_cohomology adds h^1(E(-1)) = v', h^2(E(-3)) = v on P2 and P3; a
+failure signals an engine defect, never a property of the input.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .errors import MonadLabError
-from .exactlin import compose_check, monomial_count, mult_map
+from .exactlin import LinearFormMatrix, compose_check, monomial_count, mult_map
 from .monad import SpecialMonad, dualize, invariants
 
 DEFAULT_WINDOW = (-6, 2)
@@ -40,7 +45,56 @@ def chi_line_bundle(n: int, d: int) -> int:
         return (d + 1) * (d + 2) * (d + 3) // 6
     if n == 2:
         return (d + 1) * (d + 2) // 2
+    if n == 1:
+        return d + 1
     raise ValueError(f"unsupported ambient dimension {n}")
+
+
+def complex_cohomology(A: LinearFormMatrix, B: LinearFormMatrix, k: int) -> tuple[int, ...]:
+    """(h^0, ..., h^n) of the middle cohomology of O(k-1)^v -> O(k)^w -> O(k+1)^v'.
+
+    n = A.nvars - 1 is 1, 2 or 3.  Exact, provided A is injective and B
+    surjective at every point and B*A = 0: the caller checks these.  Only
+    the d_2 of P^1 at k = -1 is a differential between nonzero terms; the
+    negativity and Euler checks catch any other engine defect.
+    """
+    n = A.nvars - 1
+    v, w, vp = A.ncols, A.nrows, B.nrows
+    S = lambda d: monomial_count(n + 1, d)
+    j = -k - n - 1
+
+    rank_a = mult_map(A, k - 1).rank()
+    rank_b = mult_map(B, k).rank()
+    rank_at = mult_map(A.transpose(), j).rank()
+    rank_bt = mult_map(B.transpose(), j - 1).rank()
+    # E_2 terms E(p, q), p in {-1, 0, 1}, q in {0, n}, placed by total degree
+    # p + q.  The two left out, E(-1, 0) = ker a_k and E(1, n) = ker b*_{j-1},
+    # vanish for a monad; the first can be nonzero only for k >= 1 and the
+    # second only for k <= -n-2, never at the same twist, so either one
+    # alone breaks the Euler identity below.
+    out = [0] * (n + 1)
+    out[0] += (w * S(k) - rank_b) - rank_a              # E(0, 0)
+    out[1] += vp * S(k + 1) - rank_b                    # E(1, 0)
+    out[n - 1] += v * S(j + 1) - rank_at                # E(-1, n)
+    out[n] += (w * S(j) - rank_at) - rank_bt            # E(0, n)
+    if n == 1 and k == -1:
+        # d_2 : H^1(O(-2))^v -> H^0(O)^v' lifts 1/(st) through the t chart:
+        # B * (A_s / t) = B_t A_s, since B_s A_s = 0
+        rank_d2 = B.coeffs[1].matmul(A.coeffs[0]).rank()
+        out[0] -= rank_d2
+        out[1] -= rank_d2
+    out = tuple(out)
+
+    if any(h < 0 for h in out):
+        raise MonadLabError(f"negative cohomology dimension at twist {k}: {out}")
+    euler = sum((-1) ** p * h for p, h in enumerate(out))
+    expected = (w * chi_line_bundle(n, k) - v * chi_line_bundle(n, k - 1)
+                - vp * chi_line_bundle(n, k + 1))
+    if euler != expected:
+        raise MonadLabError(
+            f"Euler characteristic mismatch at twist {k}: got {euler}, "
+            f"expected {expected}")
+    return out
 
 
 def twist_cohomology(M: SpecialMonad, k: int) -> tuple[int, ...]:
@@ -52,44 +106,11 @@ def twist_cohomology(M: SpecialMonad, k: int) -> tuple[int, ...]:
     """
     if not compose_check(M.beta, M.alpha):
         raise MonadLabError("composite does not vanish; not a monad")
-    n = M.ambient_n
-    m = n + 1
-    v, w, vp = M.dims()
-    S = lambda d: monomial_count(m, d)
-
-    rank_a = mult_map(M.alpha, k - 1).rank()
-    rank_b = mult_map(M.beta, k).rank()
-    h0 = (w * S(k) - rank_b) - rank_a
-
-    if n == 3:
-        j = -k - 4
-        rank_at = mult_map(M.alpha.transpose(), j).rank()
-        rank_bt = mult_map(M.beta.transpose(), j - 1).rank()
-        h1 = vp * S(k + 1) - rank_b
-        h2 = v * S(j + 1) - rank_at
-        h3 = (w * S(j) - rank_at) - rank_bt
-        out = (h0, h1, h2, h3)
-    else:
-        j = -k - 3
-        rank_at = mult_map(M.alpha.transpose(), j).rank()
-        rank_bt = mult_map(M.beta.transpose(), j - 1).rank()
-        h1 = (vp * S(k + 1) - rank_b) + (v * S(j + 1) - rank_at)
-        h2 = (w * S(j) - rank_at) - rank_bt
-        out = (h0, h1, h2)
-
-    if any(h < 0 for h in out):
-        raise MonadLabError(f"negative cohomology dimension at twist {k}: {out}")
-    euler = sum((-1) ** p * h for p, h in enumerate(out))
-    expected = (w * chi_line_bundle(n, k) - v * chi_line_bundle(n, k - 1)
-                - vp * chi_line_bundle(n, k + 1))
-    if euler != expected:
-        raise MonadLabError(
-            f"Euler characteristic mismatch at twist {k}: got {euler}, "
-            f"expected {expected}")
-    if k == -1 and out[1] != vp:
-        raise MonadLabError(f"h^1(E(-1)) = {out[1]} != v' = {vp}")
-    if n == 3 and k == -3 and out[2] != v:
-        raise MonadLabError(f"h^2(E(-3)) = {out[2]} != v = {v}")
+    out = complex_cohomology(M.alpha, M.beta, k)
+    if k == -1 and out[1] != M.v_prime:
+        raise MonadLabError(f"h^1(E(-1)) = {out[1]} != v' = {M.v_prime}")
+    if M.ambient_n == 3 and k == -3 and out[2] != M.v:
+        raise MonadLabError(f"h^2(E(-3)) = {out[2]} != v = {M.v}")
     return out
 
 

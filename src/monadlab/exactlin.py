@@ -604,18 +604,9 @@ def mult_map(L: LinearFormMatrix, d: int) -> DenseMatrix:
     Basis index of u_j (x) m_a is j*|S_d| + a, in monomial_basis order.
     Shape (nrows*|S_{d+1}|) x (ncols*|S_d|).
     """
-    return shift_map(L, monomial_exponents(L.nvars, d),
-                     monomial_index(L.nvars, d + 1))
-
-
-def shift_map(L: LinearFormMatrix, dom, cod_idx: dict) -> DenseMatrix:
-    """Matrix of (u (x) x^e) |-> sum_t L_t u (x) x^(e + 1_t) on monomial bases.
-
-    dom lists the domain exponent vectors and cod_idx maps the codomain
-    ones to their positions; a product whose exponent is not in cod_idx is
-    dropped.  Basis index of u_j (x) x^dom[a] is j*len(dom) + a.
-    """
     f = L.field
+    dom = monomial_exponents(L.nvars, d)
+    cod_idx = monomial_index(L.nvars, d + 1)
     ndom = len(dom)
     ncod = len(cod_idx)
     nrows = L.nrows * ncod
@@ -628,9 +619,7 @@ def shift_map(L: LinearFormMatrix, dom, cod_idx: dict) -> DenseMatrix:
         for a, e in enumerate(dom):
             e2 = list(e)
             e2[t] += 1
-            b = cod_idx.get(tuple(e2))
-            if b is not None:
-                shifted.append((a, b))
+            shifted.append((a, cod_idx[tuple(e2)]))
         for i in range(L.nrows):
             brow = block[i]
             row_base = i * ncod

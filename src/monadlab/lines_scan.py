@@ -66,10 +66,12 @@ def _line_splitting(M: SpecialMonad, line: Line):
     """(status, splitting parts or None) for one line.
 
     For c1 = 0 the parts a_i sum to 0, so h^0(E|_L(-1)) = sum max(0, a_i)
-    vanishes iff the splitting is trivial.  At twist -1 only the connecting
-    map of p1_cohomology contributes, and its matrix is B_t A_s, so
+    vanishes iff the splitting is trivial.  At twist -1 the only term of
+    cohomology.complex_cohomology on P1 that can contribute to h^0 is the
+    kernel of its one differential d_2 = B_t A_s : k^v -> k^v', so
     h^0(E|_L(-1)) = v - rank(B_t A_s): one v x v rank settles a line that
-    does not jump, in every rank.  The other lines, and every line when
+    does not jump, in every rank, without the four empty multiplication
+    maps of a p1_cohomology call.  The other lines, and every line when
     c1 != 0, get the full reconstruction.
     """
     pc = restrict(M, line)

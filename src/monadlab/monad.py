@@ -302,11 +302,12 @@ def _check_beta_surjective(M: SpecialMonad, budget: ValidationBudget) -> CheckRe
 
     # v' >= 2: decide by sampling; full enumeration over small prime fields,
     # random points over a large one, random rational points.
-    def failure(pt, where="a rational point"):
+    where = "a rational point" if M.field == QQ else f"a point over {M.field.name}"
+
+    def failure(pt):
         return CheckResult(name, False, "exact", f"rank drop at {where}",
                            witness=_fmt_point(M.field, pt))
 
-    enum_where = "a rational point" if M.field == QQ else f"a point over {M.field.name}"
     checked = 0
     for q in budget.enum_primes:
         try:
@@ -316,7 +317,7 @@ def _check_beta_surjective(M: SpecialMonad, budget: ValidationBudget) -> CheckRe
         for pt in projective_points(q, n + 1):
             checked += 1
             if Mq.beta.at(pt).rank() < vp and lift_drops_rank(M.beta, pt, vp):
-                return failure(pt, enum_where)
+                return failure(pt)
     rng = rng_for("validate-beta", budget.seed, M.w, M.v_prime)
     if M.field == QQ:
         try:

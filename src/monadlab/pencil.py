@@ -7,17 +7,12 @@ parametrization into the monad's linear forms gives a pencil complex
 
 of binary linear forms.  When the line is clean, that is the left pencil
 keeps full column rank and the right pencil full row rank at every point
-of the line (both decided exactly, see line_status), the complex computes
-the restricted sheaf, and its hypercohomology in every twist follows from
-the two-chart Laurent model of P1:
-
-    H^0(O(d)) = span{ s^a t^b : a, b >= 0,  a+b = d }
-    H^1(O(d)) = span{ s^a t^b : a, b <= -1, a+b = d }
-
-The twist cohomology combines four small dimension counts with one
-connecting map, computed by explicit Laurent lifting; the splitting type
-is then reconstructed from the section counts across a twist window and
-re-verified against every measured dimension.
+of the line (both decided exactly, see line_status), the pencil is a
+monad on P1 and computes the restricted sheaf.  Its twist cohomology is
+the n = 1 case of cohomology.complex_cohomology: Serre duality gives the
+H^1 ranks, and the single differential d_2 = B_t A_s acts at twist -1.
+The splitting type is then reconstructed from the section counts across
+a twist window and re-verified against every measured dimension.
 """
 
 from __future__ import annotations
@@ -31,14 +26,8 @@ from .errors import (
     ReconstructionError,
     ShapeMismatchError,
 )
-from .exactlin import (
-    DenseMatrix,
-    LinearFormMatrix,
-    compose_check,
-    monomial_count,
-    mult_map,
-    shift_map,
-)
+from .cohomology import complex_cohomology
+from .exactlin import DenseMatrix, LinearFormMatrix, compose_check, mult_map
 from .monad import SpecialMonad
 
 
@@ -170,127 +159,19 @@ def line_status(pc: PencilComplex) -> LineStatus:
     return status
 
 
-# ---------------------------------------------------------------------------
-# the Laurent model of P1
-
-
-def _h1_dim(d: int) -> int:
-    return max(0, -d - 1)
-
-
-def _h1_exponents(d: int) -> list[tuple[int, int]]:
-    """H^1 monomials (a, b), a+b = d, both <= -1; ordered by descending a."""
-    return [(a, d - a) for a in range(-1, d, -1)]
-
-
-def _h1_mult(L: LinearFormMatrix, d: int) -> DenseMatrix:
-    """The H^1-level multiplication U (x) H1(O(d)) -> U' (x) H1(O(d+1)).
-
-    Multiplying a principal-part monomial by a linear form either stays in
-    the principal part or becomes a coboundary; coboundaries are dropped.
-    """
-    cod = _h1_exponents(d + 1)
-    return shift_map(L, _h1_exponents(d), {e: i for i, e in enumerate(cod)})
-
-
-def _laurent_multiply(L: LinearFormMatrix, vec_terms: dict) -> dict:
-    """Multiply a U-valued Laurent vector {(j, a, b): c} by the pencil L."""
-    f = L.field
-    out: dict = {}
-    for (j, a, b), c in vec_terms.items():
-        for t in range(2):
-            col = L.coeffs[t].data
-            key_shift = (a + 1, b) if t == 0 else (a, b + 1)
-            for i in range(L.nrows):
-                coeff = col[i][j]
-                if coeff == 0:
-                    continue
-                key = (i,) + key_shift
-                acc = f.add(out.get(key, f.zero()), f.mul(coeff, c))
-                if acc == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
-    return out
-
-
 def p1_cohomology(pc: PencilComplex, k: int) -> tuple[int, int]:
     """(h^0, h^1) of the restricted sheaf twisted by k; exact.
 
-    Hypercohomology of the pencil complex: the section-level and
-    principal-part-level multiplication maps contribute four terms, glued
-    by the connecting map out of ker of the H^1-level left map.  For a
-    kernel class h, the product (left pencil)*h is a coboundary; writing
-    it as f_t - f_s with f_t collecting the monomials regular on the t
-    chart (s-exponent >= 0), the connecting map sends h to the class of
-    (right pencil)*f_t in coker of the section-level right map.
+    The n = 1 case of cohomology.complex_cohomology, once line_status has
+    shown that the pencil is a monad on P1.  A line that is not clean
+    raises AlphaDegenerateError.
     """
     status = line_status(pc)
     if not status.clean:
         raise AlphaDegenerateError(
             f"{status.degenerate_map} map degenerates on the line; restricted "
             "cohomology is not the sheaf restriction")
-    f = pc.field
-    v, w, vp = pc.v, pc.w, pc.v_prime
-    S = lambda d: monomial_count(2, d)
-
-    alpha_k = mult_map(pc.A, k - 1)
-    beta_k = mult_map(pc.B, k)
-    rank_a = alpha_k.rank()
-    rank_b = beta_k.rank()
-    if rank_a != v * S(k - 1):
-        raise MonadLabError("section-level left map not injective on a clean pencil")
-    e10 = (w * S(k) - rank_b) - rank_a
-    e20 = vp * S(k + 1) - rank_b
-
-    alpha_h1 = _h1_mult(pc.A, k - 1)
-    beta_h1 = _h1_mult(pc.B, k)
-    rank_a1 = alpha_h1.rank()
-    rank_b1 = beta_h1.rank()
-    if rank_b1 != vp * _h1_dim(k + 1):
-        raise MonadLabError("principal-part right map not surjective on a clean pencil")
-    e11 = (w * _h1_dim(k) - rank_b1) - rank_a1
-
-    # connecting map out of ker(alpha_h1)
-    kern = alpha_h1.right_kernel()
-    h1_dom = _h1_exponents(k - 1)
-    ncod = vp * S(k + 1)
-    d2_cols = []
-    for cidx in range(kern.ncols):
-        terms = {}
-        for j in range(v):
-            for midx, (a, b) in enumerate(h1_dom):
-                c = kern.data[j * len(h1_dom) + midx][cidx]
-                if c != 0:
-                    terms[(j, a, b)] = c
-        prod = _laurent_multiply(pc.A, terms)
-        f_t = {}
-        for (i, a, b), c in prod.items():
-            if a <= -1 and b <= -1:
-                raise MonadLabError("principal part survives on a kernel class")
-            if a >= 0:
-                f_t[(i, a, b)] = c
-        image = _laurent_multiply(pc.B, f_t)
-        col = [f.zero()] * ncod
-        for (i, a, b), c in image.items():
-            if a < 0 or b < 0:
-                raise MonadLabError("connecting-map image is not polynomial")
-            col[i * S(k + 1) + b] = c
-        d2_cols.append(col)
-    if d2_cols and ncod:
-        dmat = DenseMatrix(f, ncod, len(d2_cols),
-                           [[col[r] for col in d2_cols] for r in range(ncod)])
-        rank_d2 = beta_k.hstack(dmat).rank() - rank_b
-    else:
-        rank_d2 = 0
-    ker_d2 = kern.ncols - rank_d2
-
-    h0 = e10 + ker_d2
-    h1 = (e20 - rank_d2) + e11
-    if h0 - h1 != pc.rank * (k + 1) + pc.c1:
-        raise MonadLabError(
-            f"Euler characteristic mismatch on the line at twist {k}")
-    return (h0, h1)
+    return complex_cohomology(pc.A, pc.B, k)
 
 
 def dual_pencil(pc: PencilComplex) -> PencilComplex:

@@ -209,6 +209,20 @@ def test_jumping_scan_deterministic_bytes(capsys, lf_path, tmp_path):
     assert report["jumping"] == sum(1 for r in rows if r["jumping"])
 
 
+def test_jumping_scan_warns_about_degenerate_lines(capsys, tmp_path, lf_path):
+    args = ("--samples", "300", "--seed", "0")
+    code, out, err = run(capsys, "jumping-scan", lf_path, "--prime", "101", *args)
+    assert code == 0 and json.loads(out)["degenerate"] == 0
+    assert err == ""
+    # mod 7 the right map of this monad has rank 1 at every point
+    path = tmp_path / "bad.json"
+    run(capsys, "generate", "--dims", "2,6,2", "--seed", "3", "--out", str(path))
+    code, out, err = run(capsys, "jumping-scan", str(path), "--prime", "7", *args)
+    assert code == 0 and json.loads(out)["degenerate"] == 300
+    assert err == ("monadlab: warning: 300 of 300 sampled lines are degenerate "
+                   "mod 7; the reduction is not a monad at some points\n")
+
+
 def test_codim_evidence_csv(capsys, lf_path):
     code, out, _ = run(capsys, "codim-evidence", lf_path, "--primes", "101,103",
                        "--samples", "400", "--format", "csv")

@@ -78,6 +78,15 @@ def test_validate_catches_common_zero_of_beta():
     assert not rep.overall
 
 
+def test_beta_rank_drop_over_a_prime_field_names_the_field():
+    # mod 101 the right map of this monad has rank 1 everywhere; the drop is
+    # found by the random-sample loop, which must not call the point rational
+    rep = validate(to_prime_field(random_monad(2, 6, 2, seed=0), 101))
+    assert not rep.beta_surjective.passed
+    assert rep.beta_surjective.detail == "rank drop at a point over Fp:101"
+    assert rep.beta_surjective.witness == ["18", "30", "37", "81"]
+
+
 def test_validate_catches_degenerate_alpha():
     # alpha with two proportional forms in a single column spanning rank 1
     M = SpecialMonad(3,

@@ -1,10 +1,10 @@
 """Restriction to lines: pencil complexes, twist dimensions, splitting types.
 
-The worked values on the line {z = w = 0} were computed by hand through
-the Laurent model: at twist -1 the single principal-part class s^-1 t^-1
-maps under the left pencil to (t^-1, s^-1, 0, 0); its t-chart part
-(t^-1, 0, 0, 0) multiplies under the right pencil to -1, so the
-connecting map is an isomorphism and both dimensions vanish.
+The worked values on the line {z = w = 0} were computed by hand: at twist
+-1 the only nonzero E_2 terms are H^1(O(-2))^v and H^0(O)^v', both of
+dimension 1, and the differential between them is B_t A_s =
+(-1, 0, 0, 0) . (1, 0, 0, 0)^T = -1, an isomorphism, so both dimensions
+vanish.
 """
 
 import pytest
@@ -78,8 +78,8 @@ def test_worked_connecting_map_values():
 
 
 def test_opposite_chart_convention_gives_the_same_answer():
-    # lifting through the s chart instead of the t chart only changes the
-    # lift by a coboundary; the connecting map's class is unchanged, so the
+    # lifting the class 1/(st) through the s chart instead of the t chart
+    # gives the differential B_s A_t = -B_t A_s, of the same rank, so the
     # dimensions agree.  Check by swapping the roles of the two parameters
     # (s <-> t), which exchanges the charts.
     from monadlab import LinearFormMatrix, PencilComplex
