@@ -220,14 +220,14 @@ def _cmd_splitting(args) -> int:
     status = pencil.line_status(pc)
     if not status.clean:
         obj = {"line": line.to_json_obj(), "status": "degenerate",
-               "detail": status.to_json_obj(pc.field)}
+               "detail": status.to_json_obj()}
         _emit(_dump(obj), args.out)
         print(f"monadlab: {status.degenerate_map} map degenerates on this line; "
               "no splitting", file=sys.stderr)
         return EXIT_MATH
     parts = pencil.splitting_type(pc)
     lo, hi = -pc.v - 2, pc.v_prime + 2
-    dims = {str(k): list(pencil.p1_cohomology(pc, k)) for k in range(lo, hi + 1)}
+    dims = {str(k): list(parts.dims[k]) for k in range(lo, hi + 1)}
     obj = {
         "line": line.to_json_obj(),
         "status": "clean",

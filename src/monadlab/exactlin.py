@@ -628,11 +628,29 @@ def mult_map(L: LinearFormMatrix, d: int) -> DenseMatrix:
                 if c == 0:
                     continue
                 col_base = j * ndom
+                # x_t is fixed by (b, a), so each cell is written once
                 for a, b in shifted:
-                    r = data[row_base + b]
-                    cidx = col_base + a
-                    r[cidx] = f.add(r[cidx], c)
+                    data[row_base + b][col_base + a] = c
     return DenseMatrix(f, nrows, ncols, data)
+
+
+def onto_on_line(P: LinearFormMatrix) -> bool:
+    """True iff the pencil P : O^a -> O(1)^b on P1 is onto at every point.
+
+    Decided exactly, over the algebraic closure, by one rank: P is onto at
+    every point iff it is onto on sections in twist b-1, that is iff
+    rank mult_map(P, b-1) = b(b+1).  A pointwise surjection has a kernel
+    bundle of rank a-b and degree -b whose summands are all <= 0, so each
+    has degree >= -b and its H^1 vanishes in twist b-1; conversely, an image
+    containing all sections of the globally generated O(b)^b is onto at
+    every point.  A map O(-1)^v -> O^w is injective at every point iff its
+    transpose O^w -> O(1)^v is onto at every point, so the same test decides
+    the left map of a restricted monad.
+    """
+    if P.nvars != 2:
+        raise ShapeMismatchError("a pencil lives in two parameters")
+    b = P.nrows
+    return mult_map(P, b - 1).rank() == b * (b + 1)
 
 
 def compose_check(B: LinearFormMatrix, A: LinearFormMatrix) -> bool:

@@ -7,19 +7,20 @@ parametrization into the monad's linear forms gives a pencil complex
 
 of binary linear forms.  When the line is clean, that is the left pencil
 keeps full column rank and the right pencil full row rank at every point
-of the line (both decided exactly, see line_status), the pencil is a
-monad on P1 and computes the restricted sheaf.  Its twist cohomology is
-the n = 1 case of cohomology.complex_cohomology: Serre duality gives the
-H^1 ranks, and the single differential d_2 = B_t A_s acts at twist -1.
-The splitting type is then reconstructed from the section counts across
-a twist window and re-verified against every measured dimension.
+of the line, the pencil is a monad on P1 and computes the restricted
+sheaf.  Each condition is one rank (exactlin.onto_on_line, applied to the
+right pencil and to the transpose of the left one; see line_status).  Its
+twist cohomology is the n = 1 case of cohomology.complex_cohomology: Serre
+duality gives the H^1 ranks, and the single differential d_2 = B_t A_s
+acts at twist -1.  The splitting type is then reconstructed from the
+section counts across a twist window and re-verified against every
+measured dimension.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
-from ._binforms import pencil_minor_gcd
 from .errors import (
     AlphaDegenerateError,
     MonadLabError,
@@ -27,7 +28,13 @@ from .errors import (
     ShapeMismatchError,
 )
 from .cohomology import complex_cohomology
-from .exactlin import DenseMatrix, LinearFormMatrix, compose_check, mult_map
+from .exactlin import (
+    DenseMatrix,
+    LinearFormMatrix,
+    compose_check,
+    mult_map,
+    onto_on_line,
+)
 from .monad import SpecialMonad
 
 
@@ -116,45 +123,40 @@ def restrict(M: SpecialMonad, line: Line) -> PencilComplex:
 @dataclass
 class LineStatus:
     clean: bool
-    gcd_coeffs: list | None = None   # common factor of the minors, when not clean
     note: str = ""
     degenerate_map: str = ""         # "left" or "right", when not clean
 
-    def to_json_obj(self, field=None):
-        gcd = None
-        if self.gcd_coeffs is not None and field is not None:
-            gcd = [field.fmt(c) for c in self.gcd_coeffs]
-        return {"clean": self.clean, "minor_gcd": gcd, "note": self.note}
+    def to_json_obj(self):
+        return {"clean": self.clean, "note": self.note}
 
 
 def line_status(pc: PencilComplex) -> LineStatus:
     """Clean iff both maps keep full rank at every point of the line.
 
-    Decided exactly, over the algebraic closure of the whole line.  The
-    left map stays injective iff the gcd of its maximal-minor binary forms
-    is a nonzero constant.  The right map O^w -> O(1)^v' stays surjective
-    iff it is surjective on sections in twist v'-1: a pointwise surjection
-    has a kernel with summands of degree >= -v', whose H^1 vanishes in that
-    twist; conversely, a surjection onto the sections of the globally
-    generated O(v')^v' is onto at every point.  The verdict is cached on
-    the pencil.
+    Decided exactly, over the algebraic closure of the whole line, by
+    exactlin.onto_on_line: the right map O^w -> O(1)^v' must be onto at
+    every point, and the left map O(-1)^v -> O^w injective at every point,
+    that is its transpose O^w -> O(1)^v onto.  A failing left map drops
+    rank on the whole line iff it is not injective on sections in twist v,
+    one more rank: a generically injective map is injective on sections in
+    every twist, while a nonzero kernel is a bundle inside O(-1)^v whose
+    image lies in O^w, so its degree is >= -v and it has sections in twist
+    v.  The verdict is cached on the pencil.
     """
     if pc._status is not None:
         return pc._status
-    kind, coeffs = pencil_minor_gcd(pc.field, pc.A.coeffs[0], pc.A.coeffs[1], pc.v)
-    vp = pc.v_prime
-    if kind == "zero":
-        status = LineStatus(False, None,
-                            "left map drops rank identically on the line", "left")
-    elif kind == "form":
-        status = LineStatus(False, coeffs,
-                            "maximal minors share a common factor; roots "
-                            "left unfactored", "left")
-    elif vp and mult_map(pc.B, vp - 1).rank() < vp * (vp + 1):
-        status = LineStatus(False, None,
-                            "right map drops rank at a point of the line", "right")
+    v = pc.v
+    if not onto_on_line(pc.A.transpose()):
+        if mult_map(pc.A, v - 1).rank() < v * v:
+            note = "left map drops rank identically on the line"
+        else:
+            note = "left map drops rank at a point of the line"
+        status = LineStatus(False, note, "left")
+    elif not onto_on_line(pc.B):
+        status = LineStatus(False, "right map drops rank at a point of the line",
+                            "right")
     else:
-        status = LineStatus(True, note="empty left map" if pc.v == 0 else "")
+        status = LineStatus(True, "empty left map" if v == 0 else "")
     pc._status = status
     return status
 
@@ -189,9 +191,14 @@ def dual_pencil(pc: PencilComplex) -> PencilComplex:
 
 @dataclass(frozen=True)
 class SplittingType:
-    """Non-increasing degrees of the line-bundle summands on the line."""
+    """Non-increasing degrees of the line-bundle summands on the line.
+
+    dims maps each twist of the measured window to its (h^0, h^1); it is
+    not part of the value.
+    """
 
     parts: tuple[int, ...]
+    dims: dict = dc_field(default_factory=dict, compare=False, repr=False)
 
     @property
     def is_trivial(self) -> bool:
@@ -213,7 +220,8 @@ def splitting_type(pc: PencilComplex) -> SplittingType:
     the right map and its dual).  The reconstruction is then re-verified
     against every measured h^0 and h^1; a mismatch raises
     ReconstructionError and signals an engine defect.  A line that is not
-    clean raises AlphaDegenerateError.
+    clean raises AlphaDegenerateError.  The measured dimensions come back
+    as the dims of the result.
     """
     v, vp = pc.v, pc.v_prime
     lo, hi = -v - 3, vp + 2
@@ -241,4 +249,4 @@ def splitting_type(pc: PencilComplex) -> SplittingType:
             raise ReconstructionError(
                 f"splitting {parts} predicts {(want_h0, want_h1)} at twist {k}, "
                 f"measured {measured[k]}")
-    return SplittingType(parts)
+    return SplittingType(parts, measured)

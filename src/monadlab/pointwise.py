@@ -11,8 +11,11 @@ of the locus where the left map drops below full column rank:
 When the short side of the matrix is a single column or row the locus is
 a linear subspace and the dimension is exact.  Otherwise it is estimated
 by random linear slices over finite fields: a generic slice of codimension
-d meets the locus exactly when the locus has dimension >= d.  Slice
-verdicts are Monte-Carlo and are never upgraded to exact.
+d meets the locus exactly when the locus has dimension >= d.  A line slice
+is decided over the algebraic closure by one rank: the matrix stays
+injective at every point of the line iff its transpose is onto there
+(exactlin.onto_on_line).  Slice verdicts are Monte-Carlo and are never
+upgraded to exact.
 """
 
 from __future__ import annotations
@@ -20,10 +23,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from . import monad as monad_mod
-from ._binforms import pencil_minor_gcd
 from ._seeds import rng_for
 from .errors import MonadLabError, ShapeMismatchError
-from .exactlin import DEFAULT_PRIME, DenseMatrix, LinearFormMatrix, PrimeField
+from .exactlin import (
+    DEFAULT_PRIME,
+    DenseMatrix,
+    LinearFormMatrix,
+    PrimeField,
+    onto_on_line,
+)
 
 LEVELS = ("locally_free", "reflexive", "torsion_free", "coherent_only")
 
@@ -169,10 +177,11 @@ def degeneracy_dim(L: LinearFormMatrix, full_rank: int | None = None,
             rng = rng_for("degeneracy-line", budget.seed, d)
             for _ in range(budget.slices):
                 span = _rand_subspace(rng, p, n + 1, 2, Tp.field)
-                mat_s = Tp.at(span[0])
-                mat_t = Tp.at(span[1])
-                kind, _ = pencil_minor_gcd(Tp.field, mat_s, mat_t, full)
-                if kind != "constant":
+                # T restricted to the line is injective at every point iff
+                # its transpose O^nrows -> O(1)^full is onto at every point
+                slice_t = LinearFormMatrix(Tp.field, full, T.nrows, 2,
+                                           [Tp.at(pt).transpose() for pt in span])
+                if not onto_on_line(slice_t):
                     return DegeneracyResult(
                         "dim", d, method,
                         note=f"maximal minors on a random line over F_{p} share "

@@ -223,6 +223,45 @@ def test_jumping_scan_warns_about_degenerate_lines(capsys, tmp_path, lf_path):
                    "mod 7; the reduction is not a monad at some points\n")
 
 
+def test_jumping_scan_at_prime_2(capsys, tmp_path):
+    # beta mod 2 of this monad drops rank at all 15 points of P3(F_2), so
+    # every line is degenerate; deciding that takes no interpolation points
+    from monadlab import random_monad, to_prime_field
+    from monadlab.monad import projective_points
+    M2 = to_prime_field(random_monad(2, 6, 2, seed=1), 2)
+    assert all(M2.beta.at(pt).rank() < 2 for pt in projective_points(2, 4))
+    path = tmp_path / "m.json"
+    run(capsys, "generate", "--dims", "2,6,2", "--seed", "1", "--out", str(path))
+    code, out, err = run(capsys, "jumping-scan", str(path), "--prime", "2",
+                         "--samples", "50")
+    assert code == 0
+    rep = json.loads(out)
+    assert (rep["degenerate"], rep["jumping"]) == (50, 0)
+    assert err == ("monadlab: warning: 50 of 50 sampled lines are degenerate "
+                   "mod 2; the reduction is not a monad at some points\n")
+
+
+def test_splitting_measures_each_twist_once(capsys, tmp_path, monkeypatch):
+    # splitting_type measures [-v-3, v'+2]; the printed window [-v-2, v'+2]
+    # is read from those measurements, not computed again
+    import monadlab.pencil as pencil
+    calls = []
+    core = pencil.complex_cohomology
+
+    def counting(A, B, k):
+        calls.append(k)
+        return core(A, B, k)
+
+    monkeypatch.setattr(pencil, "complex_cohomology", counting)
+    path = tmp_path / "m.json"
+    run(capsys, "generate", "--dims", "2,6,2", "--seed", "1", "--out", str(path))
+    code, out, _ = run(capsys, "splitting", str(path), "--seed", "3", "--index", "0")
+    assert code == 0
+    assert sorted(calls) == list(range(-2 - 3, 2 + 3))     # v + v' + 6 twists
+    assert sorted(json.loads(out)["twist_dims"], key=int) == \
+        [str(k) for k in range(-2 - 2, 2 + 3)]
+
+
 def test_codim_evidence_csv(capsys, lf_path):
     code, out, _ = run(capsys, "codim-evidence", lf_path, "--primes", "101,103",
                        "--samples", "400", "--format", "csv")

@@ -6,10 +6,12 @@ from math import comb
 
 import pytest
 
+from monadlab.errors import ShapeMismatchError
 from monadlab.exactlin import (
     GF,
     QQ,
     DenseMatrix,
+    LinearFormMatrix,
     compose_check,
     forms_matrix,
     kernel_basis,
@@ -17,6 +19,7 @@ from monadlab.exactlin import (
     monomial_count,
     monomial_exponents,
     mult_map,
+    onto_on_line,
     parse_linear_form,
     rank,
 )
@@ -127,6 +130,44 @@ def test_mult_map_composes_to_zero_when_forms_do():
     assert compose_check(beta, alpha)
     for d in range(0, 4):
         assert mult_map(beta, d + 1).matmul(mult_map(alpha, d)).is_zero()
+
+
+def _left_verdict(field, rows):
+    """Verdict on a line of a left map O(-1)^v -> O^w given by its rows.
+
+    "onto" when its transpose is onto at every point (injective at every
+    point), "identically" when it is not injective on sections in twist v
+    (degenerate on the whole line), "point" otherwise.
+    """
+    A = forms_matrix(field, 2, rows)
+    v = A.ncols
+    if onto_on_line(A.transpose()):
+        return "onto"
+    return "identically" if mult_map(A, v - 1).rank() < v * v else "point"
+
+
+def test_onto_on_line_known_answers():
+    # x0 = s, x1 = t.  Columns (s, t, 0) and (s, 0, 0): the only nonzero
+    # maximal minor is -st, so the map drops rank at s = 0 and at t = 0
+    assert _left_verdict(QQ, [["x0", "x0"], ["x1", "0"], ["0", "0"]]) == "point"
+    # minors include s^2 and t^2, which have no common root
+    rows = [["x0", "0"], ["0", "x0"], ["x1", "0"], ["0", "x1"]]
+    assert _left_verdict(QQ, rows) == "onto"
+    # a zero column: every maximal minor vanishes identically
+    assert _left_verdict(QQ, [["x0", "0"], ["x1", "0"]]) == "identically"
+    # over F_5 the determinant s^2 + 2t^2 of [[s, -2t], [t, s]] is
+    # irreducible: the rank drops only at two conjugate points over F_25
+    assert _left_verdict(GF(5), [["x0", "-2*x1"], ["x1", "x0"]]) == "point"
+    assert _left_verdict(QQ, [["x0", "-2*x1"], ["x1", "x0"]]) == "point"
+    # over F_2 the same rank test needs no interpolation points
+    assert _left_verdict(GF(2), [["x0", "x1"], ["x1", "x0"]]) == "point"
+    assert _left_verdict(GF(2), rows) == "onto"
+    # the right map of a restricted monad, and an empty codomain
+    assert onto_on_line(forms_matrix(QQ, 2, [["x1", "x0", "0"]]))
+    assert not onto_on_line(forms_matrix(QQ, 2, [["x0", "0", "0"]]))
+    assert onto_on_line(LinearFormMatrix.zeros(QQ, 0, 3, 2))
+    with pytest.raises(ShapeMismatchError):
+        onto_on_line(forms_matrix(QQ, 3, [["x", "y"]]))
 
 
 def test_compose_check():

@@ -1,0 +1,190 @@
+"""Recorded verdicts of the earlier binary-form engine on lines and slices.
+
+Whether a restricted map keeps full rank at every point of a line was
+once decided by the gcd of its maximal minors: binary forms obtained by
+Lagrange interpolation and reduced by Euclid's algorithm.  Each left and
+right map then got one verdict: "c" (the gcd is constant: full rank at
+every point), "f" (a nonconstant common factor: a rank drop at some
+point) or "z" (every minor vanishes: a rank drop on the whole line).
+The tables below were recorded from that engine on a seeded corpus:
+
+- per line, the verdicts of the left and right map and the line_status
+  code: "." clean, "Z" left map degenerate on the whole line, "L" left
+  map degenerate at a point, "R" right map degenerate;
+- the degeneracy_dim result of matrices whose pencil-slice level decides,
+  or rules out, their locus.
+
+Each entry holds a sha256 prefix of the per-line codes (or of the result
+JSON) and, readable, their counts (or kind, dim and note).  The one-rank
+test exactlin.onto_on_line must reproduce all of them.
+"""
+
+import collections
+import hashlib
+import json
+
+from monadlab import (
+    GF,
+    QQ,
+    DegeneracyBudget,
+    Line,
+    degeneracy_dim,
+    direct_sum,
+    example_monad,
+    forms_matrix,
+    line_status,
+    random_monad,
+    restrict,
+    sample_line,
+    to_prime_field,
+)
+from monadlab.exactlin import mult_map, onto_on_line
+
+LINE_XY = ([0, 0, 1, 0], [0, 0, 0, 1])
+
+GOLDEN_LINES = {
+    "(2,6,2)s3/F5": ("aa4db65d1bff1aa6", {"cc.": 94, "cfR": 23, "czR": 3}),
+    "(2,6,2)s3/F7": ("e2d1624bb6e892c4", {"czR": 20}),
+    "(2,6,2)s3/Q": ("9d6731b989e2513f", {"cc.": 6}),
+    "(2,6,2)s0/F101": ("e2d1624bb6e892c4", {"czR": 20}),
+    "(2,6,2)s0/F5": ("5f6e5cabae4c4969", {"cc.": 40}),
+    "(1,5,1)s2/F5": ("f5659072c1d721ed", {"cc.": 39, "cfR": 1}),
+    "(3,10,3)s1/F7": ("3cbee41572f8e8d4", {"cc.": 30}),
+    "torsion-free/Q": ("5606a9321669282d", {"cc.": 4, "zcZ": 1}),
+    "torsion-free/F5": ("23ef481f1d83d15d", {"cc.": 30, "fcL": 10}),
+    "reflexive/F5": ("2fe3b6d01ac4507d", {"cc.": 37, "fcL": 3}),
+    "locally-free/F7": ("e5ccf4ea8ad69162", {"cc.": 20}),
+    "lf+tf/Q": ("a25623f242d4326d", {"zcZ": 1}),
+    "lf+tf/F5": ("abe41bd4f33faad7", {"cc.": 31, "fcL": 9}),
+    "rf+tf/F3": ("ee8f8382662fdc27", {"cc.": 22, "fcL": 18}),
+}
+
+_PENCIL_HIT = ("maximal minors on a random line over F_{} share a root over "
+               "the algebraic closure")
+_NO_HIT = "no slice met the locus"
+
+GOLDEN_DEGENERACY = {
+    "surface/Q": ("07baaab12c8da1e4", "dim", 2, _PENCIL_HIT.format(32003)),
+    "p2-curve/Q": ("d03025118c612a00", "dim", 1, _PENCIL_HIT.format(32003)),
+    "lf+rf/Q": ("ab9dc012ecebf38c", "dim", 0, "rank drop found by full enumeration over F_5"),
+    "(2,6,2)s0 alpha mod 3": ("0e07f0a7beed2f92", "empty", None, _NO_HIT),
+    "(2,6,2)s0 alpha mod 5": ("ee26687446b75b6d", "empty", None, _NO_HIT),
+    "(2,6,2)s0 alpha mod 7": ("d4311bf68b775260", "empty", None, _NO_HIT),
+    "(2,6,2)s0 alpha mod 101": ("6ddef648e115c044", "empty", None, _NO_HIT),
+    "(2,6,2)s0 beta mod 5": ("ee26687446b75b6d", "empty", None, _NO_HIT),
+    "(2,6,2)s1 alpha mod 3": ("e34c97b669c0855f", "dim", 2, _PENCIL_HIT.format(3)),
+    "(2,6,2)s1 alpha mod 5": ("ee26687446b75b6d", "empty", None, _NO_HIT),
+    "(2,6,2)s1 alpha mod 7": ("d4311bf68b775260", "empty", None, _NO_HIT),
+    "(2,6,2)s1 alpha mod 101": ("6ddef648e115c044", "empty", None, _NO_HIT),
+    "(2,6,2)s1 beta mod 5": ("ee26687446b75b6d", "empty", None, _NO_HIT),
+    "(2,6,2)s3 alpha mod 3": ("0e07f0a7beed2f92", "empty", None, _NO_HIT),
+    "(2,6,2)s3 alpha mod 5": ("ee26687446b75b6d", "empty", None, _NO_HIT),
+    "(2,6,2)s3 alpha mod 7": ("d4311bf68b775260", "empty", None, _NO_HIT),
+    "(2,6,2)s3 alpha mod 101": ("6ddef648e115c044", "empty", None, _NO_HIT),
+    "(2,6,2)s3 beta mod 5": ("c0440bdc8df91d5b", "dim", 2, _PENCIL_HIT.format(5)),
+    "(3,10,3)s1 alpha mod 7": ("d4311bf68b775260", "empty", None, _NO_HIT),
+    "(2,7,1)P2 alpha mod 5": ("ee26687446b75b6d", "empty", None, _NO_HIT),
+}
+
+
+def line_cases():
+    lf = example_monad("locally-free")
+    tf = example_monad("torsion-free")
+    rf = example_monad("reflexive")
+    F5, F7, F101 = GF(5), GF(7), GF(101)
+
+    def sampled(seed, count, field, n=3):
+        return [sample_line(seed, i, field, n) for i in range(count)]
+
+    bad = random_monad(2, 6, 2, seed=3)
+    return [
+        ("(2,6,2)s3/F5", to_prime_field(bad, 5), sampled(2, 120, F5)),
+        ("(2,6,2)s3/F7", to_prime_field(bad, 7), sampled(3, 20, F7)),
+        ("(2,6,2)s3/Q", bad, sampled(4, 6, QQ)),
+        ("(2,6,2)s0/F101", to_prime_field(random_monad(2, 6, 2, seed=0), 101),
+         sampled(5, 20, F101)),
+        ("(2,6,2)s0/F5", to_prime_field(random_monad(2, 6, 2, seed=0), 5), sampled(6, 40, F5)),
+        ("(1,5,1)s2/F5", to_prime_field(random_monad(1, 5, 1, seed=2), 5), sampled(7, 40, F5)),
+        ("(3,10,3)s1/F7", to_prime_field(random_monad(3, 10, 3, seed=1), 7), sampled(8, 30, F7)),
+        ("torsion-free/Q", tf, [Line.from_points(QQ, *LINE_XY)] + sampled(9, 4, QQ)),
+        ("torsion-free/F5", to_prime_field(tf, 5), sampled(10, 40, F5)),
+        ("reflexive/F5", to_prime_field(rf, 5), sampled(11, 40, F5)),
+        ("locally-free/F7", to_prime_field(lf, 7), sampled(12, 20, F7)),
+        ("lf+tf/Q", direct_sum(lf, tf), [Line.from_points(QQ, *LINE_XY)]),
+        ("lf+tf/F5", to_prime_field(direct_sum(lf, tf), 5), sampled(13, 40, F5)),
+        ("rf+tf/F3", to_prime_field(direct_sum(rf, tf), 3), sampled(14, 40, GF(3))),
+    ]
+
+
+def degeneracy_cases():
+    small = DegeneracyBudget(slices=10, enum_prime=5)
+    surface = forms_matrix(QQ, 4, [["x", "0"], ["y", "0"], ["0", "x"], ["0", "x"]])
+    p2_curve = forms_matrix(QQ, 3, [["x", "0"], ["y", "0"], ["0", "x"], ["0", "x"]])
+    cases = [
+        ("surface/Q", surface, DegeneracyBudget()),
+        ("p2-curve/Q", p2_curve, small),
+        ("lf+rf/Q", direct_sum(example_monad("locally-free"),
+                               example_monad("reflexive")).alpha,
+         DegeneracyBudget(enum_prime=5)),
+    ]
+    for seed in (0, 1, 3):
+        M = random_monad(2, 6, 2, seed=seed)
+        for p in (3, 5, 7, 101):
+            cases.append((f"(2,6,2)s{seed} alpha mod {p}", M.alpha,
+                          DegeneracyBudget(prime=p, slices=20, enum_prime=5, seed=seed)))
+        cases.append((f"(2,6,2)s{seed} beta mod 5", M.beta,
+                      DegeneracyBudget(prime=5, slices=20, enum_prime=5, seed=seed)))
+    M = random_monad(3, 10, 3, seed=1)
+    cases.append(("(3,10,3)s1 alpha mod 7", M.alpha,
+                  DegeneracyBudget(prime=7, slices=20, enum_prime=5)))
+    M = random_monad(2, 7, 1, seed=1, ambient_n=2)
+    cases.append(("(2,7,1)P2 alpha mod 5", M.alpha,
+                  DegeneracyBudget(prime=5, slices=20, enum_prime=5)))
+    return cases
+
+
+STATUS_CODE = {
+    "": ".",
+    "empty left map": ".",
+    "left map drops rank identically on the line": "Z",
+    "left map drops rank at a point of the line": "L",
+    "right map drops rank at a point of the line": "R",
+}
+
+
+def _verdict(P):
+    """The minor-gcd verdict of a pencil P : O^a -> O(1)^b, by ranks.
+
+    All maximal minors vanish identically iff the transpose is not
+    injective on sections in twist b.
+    """
+    b = P.nrows
+    if onto_on_line(P):
+        return "c"
+    return "z" if mult_map(P.transpose(), b - 1).rank() < b * b else "f"
+
+
+def _digest(obj) -> str:
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_line_verdicts_reproduce_the_minor_gcds():
+    got = {}
+    for name, M, lines in line_cases():
+        rows = []
+        for line in lines:
+            pc = restrict(M, line)
+            st = line_status(pc)
+            rows.append(_verdict(pc.A.transpose()) + _verdict(pc.B)
+                        + STATUS_CODE[st.note])
+        got[name] = (_digest(rows), dict(sorted(collections.Counter(rows).items())))
+    assert got == GOLDEN_LINES
+
+
+def test_degeneracy_slices_reproduce_the_minor_gcds():
+    got = {}
+    for name, L, budget in degeneracy_cases():
+        res = degeneracy_dim(L, None, budget)
+        got[name] = (_digest(res.to_json_obj()), res.kind, res.dim, res.note)
+    assert got == GOLDEN_DEGENERACY

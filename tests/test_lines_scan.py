@@ -236,13 +236,6 @@ def test_line_splitting_matches_full_reconstruction():
     assert seen["trivial"] > 100 and seen["jumping"] > 10, seen
 
 
-def _right_map_minor_gcd(pc):
-    """Oracle for the right map: its maximal minors on the line, by gcd."""
-    from monadlab._binforms import pencil_minor_gcd
-    return pencil_minor_gcd(pc.field, pc.B.coeffs[0].transpose(),
-                            pc.B.coeffs[1].transpose(), pc.v_prime)[0]
-
-
 @pytest.fixture(scope="module")
 def bad_reduction_monad():
     """A (2,6,2) monad over Q whose right map degenerates mod 5 and mod 7."""
@@ -284,10 +277,5 @@ def test_scan_mod_a_prime_where_beta_degenerates_at_some_points(bad_reduction_mo
     rep = uniformity_evidence(M5, samples=5, extra_lines=[through],
                               classification=cls)
     assert rep.degenerate >= 1
-
-    # the exact rank test agrees with the minor-gcd oracle line by line
-    for i in range(120):
-        line = sample_line(2, i, f)
-        pc = restrict(M5, line)
-        right_clean = _right_map_minor_gcd(pc) == "constant"
-        assert line_status(pc).clean == right_clean, i
+    # line by line verdicts on 120 lines of this reduction are pinned in
+    # test_line_verdicts_golden, case "(2,6,2)s3/F5"

@@ -62,8 +62,13 @@ def test_line_status():
     Mtf = example_monad("torsion-free")
     # on the singular line the left map vanishes identically
     st = line_status(restrict(Mtf, Line.from_points(QQ, *LINE_XY)))
-    assert not st.clean and st.gcd_coeffs is None
+    assert not st.clean
+    assert st.note == "left map drops rank identically on the line"
     assert st.degenerate_map == "left"
+    # a line meeting the singular line once degenerates at that point only
+    st = line_status(restrict(Mtf, Line.from_points(QQ, [0, 0, 1, 0], [1, 0, 0, 0])))
+    assert not st.clean and st.degenerate_map == "left"
+    assert st.note == "left map drops rank at a point of the line"
     # on a disjoint line it is clean
     assert line_status(restrict(Mtf, Line.from_points(QQ, *LINE_ZW))).clean
 
