@@ -1,8 +1,11 @@
 """Exact scalar arithmetic and dense exact linear algebra.
 
-Two computable coefficient fields are supported: the rationals (stdlib
-Fraction, always reduced with positive denominator) and prime fields F_p
-(plain ints kept in [0, p)).  Rank and kernel computations are exact:
+Two computable coefficient fields are supported: the rationals and prime
+fields F_p.  A scalar is a plain Python number: over Q an int or a stdlib
+Fraction, over F_p an int in [0, p).  Loops compute with Python's own
++, - and *, and hand each finished matrix to field.reduce once: the
+identity over Q, x % p over F_p.  A field object is otherwise only a codec
+(coerce, parse, fmt).  Rank and kernel computations are exact:
 fraction-free Bareiss elimination over Q to control coefficient growth,
 ordinary Gaussian elimination over F_p.
 
@@ -50,34 +53,17 @@ def _is_prime(n: int) -> bool:
 
 
 class RationalField:
-    """The field Q. Scalars are Fractions in lowest terms."""
+    """The field Q. Scalars are ints or Fractions (always in lowest terms)."""
 
     kind = "Q"
     name = "Q"
 
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
-
     def coerce(self, x) -> Fraction:
         return Fraction(x)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        return 1 / Fraction(a)
+    def reduce(self, rows):
+        """Canonical form of computed rows: rational scalars already are."""
+        return rows
 
     def parse(self, text: str) -> Fraction:
         try:
@@ -110,12 +96,6 @@ class PrimeField:
         self.p = p
         self.name = f"Fp:{p}"
 
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1 % self.p
-
     def coerce(self, x) -> int:
         if isinstance(x, Fraction):
             den = x.denominator % self.p
@@ -124,20 +104,13 @@ class PrimeField:
             return x.numerator * pow(den, -1, self.p) % self.p
         return int(x) % self.p
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
-    def inv(self, a):
-        return pow(a, -1, self.p)
+    def reduce(self, rows):
+        """Reduce computed integer rows into [0, p), in place; returns rows."""
+        p = self.p
+        for row in rows:
+            for j, x in enumerate(row):
+                row[j] = x % p
+        return rows
 
     def parse(self, text: str) -> int:
         try:
@@ -258,7 +231,10 @@ def _rank_mod_p(rows: list[list[int]], ncols: int, p: int) -> int:
 
 
 def _rref(field, rows, ncols):
-    """Reduced row echelon form in place; returns the pivot column list."""
+    """Reduced row echelon form in place; returns the pivot column list.
+
+    Entries must be canonical on entry; each pivot step reduces once.
+    """
     nrows = len(rows)
     pivots = []
     r = 0
@@ -273,12 +249,13 @@ def _rref(field, rows, ncols):
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, x) for x in rows[r]]
+        inv = field.coerce(Fraction(1, rows[r][c]))
+        prow = rows[r] = [inv * x for x in rows[r]]
         for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if f and i != r:
+                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
+        field.reduce(rows)
         pivots.append(c)
         r += 1
     return pivots
@@ -320,15 +297,13 @@ class DenseMatrix:
 
     @classmethod
     def zeros(cls, field, nrows: int, ncols: int) -> "DenseMatrix":
-        z = field.zero()
-        return cls(field, nrows, ncols, [[z] * ncols for _ in range(nrows)])
+        return cls(field, nrows, ncols, [[0] * ncols for _ in range(nrows)])
 
     @classmethod
     def identity(cls, field, n: int) -> "DenseMatrix":
         m = cls.zeros(field, n, n)
-        one = field.one()
         for i in range(n):
-            m.data[i][i] = one
+            m.data[i][i] = 1
         return m
 
     @classmethod
@@ -352,25 +327,18 @@ class DenseMatrix:
             )
         if self.field != other.field:
             raise ShapeMismatchError("matrix product across different fields")
-        f = self.field
         bt = other.transpose().data
         out = []
         for row in self.data:
             out_row = []
             for col in bt:
-                acc = f.zero()
+                acc = 0
                 for a, b in zip(row, col):
-                    if a != 0 and b != 0:
-                        acc = f.add(acc, f.mul(a, b))
+                    if a and b:
+                        acc += a * b
                 out_row.append(acc)
             out.append(out_row)
-        return DenseMatrix(f, self.nrows, other.ncols, out)
-
-    def hstack(self, other: "DenseMatrix") -> "DenseMatrix":
-        if self.nrows != other.nrows or self.field != other.field:
-            raise ShapeMismatchError("hstack needs equal row counts and fields")
-        data = [a + b for a, b in zip(self.data, other.data)]
-        return DenseMatrix(self.field, self.nrows, self.ncols + other.ncols, data)
+        return DenseMatrix(self.field, self.nrows, other.ncols, self.field.reduce(out))
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.data for x in row)
@@ -395,15 +363,15 @@ class DenseMatrix:
         free = [c for c in range(self.ncols) if c not in pivot_set]
         cols = []
         for fc in free:
-            vec = [f.zero()] * self.ncols
-            vec[fc] = f.one()
+            vec = [0] * self.ncols
+            vec[fc] = 1
             for r, pc in enumerate(pivots):
-                vec[pc] = f.neg(rows[r][fc])
+                vec[pc] = -rows[r][fc]
             cols.append(vec)
         if f.kind == "Q":
             cols = [_primitive(vec) for vec in cols]
         data = [[col[i] for col in cols] for i in range(self.ncols)]
-        return DenseMatrix(f, self.ncols, len(cols), data)
+        return DenseMatrix(f, self.ncols, len(cols), f.reduce(data))
 
     def __eq__(self, other):
         return (
@@ -542,7 +510,7 @@ class LinearFormMatrix:
             raise ShapeMismatchError(f"point needs {self.nvars} coordinates")
         f = self.field
         pt = [f.coerce(x) for x in point]
-        data = [[f.zero()] * self.ncols for _ in range(self.nrows)]
+        data = [[0] * self.ncols for _ in range(self.nrows)]
         for t, c in enumerate(pt):
             if c == 0:
                 continue
@@ -552,9 +520,9 @@ class LinearFormMatrix:
                 drow = data[i]
                 for j in range(self.ncols):
                     a = brow[j]
-                    if a != 0:
-                        drow[j] = f.add(drow[j], f.mul(c, a))
-        return DenseMatrix(f, self.nrows, self.ncols, data)
+                    if a:
+                        drow[j] += c * a
+        return DenseMatrix(f, self.nrows, self.ncols, f.reduce(data))
 
     def transpose(self) -> "LinearFormMatrix":
         return LinearFormMatrix(self.field, self.ncols, self.nrows, self.nvars,
@@ -583,9 +551,6 @@ class LinearFormMatrix:
                 dst[self.nrows + i][self.ncols:] = row
         return out
 
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
     def __eq__(self, other):
         return (
             isinstance(other, LinearFormMatrix)
@@ -604,14 +569,13 @@ def mult_map(L: LinearFormMatrix, d: int) -> DenseMatrix:
     Basis index of u_j (x) m_a is j*|S_d| + a, in monomial_basis order.
     Shape (nrows*|S_{d+1}|) x (ncols*|S_d|).
     """
-    f = L.field
     dom = monomial_exponents(L.nvars, d)
     cod_idx = monomial_index(L.nvars, d + 1)
     ndom = len(dom)
     ncod = len(cod_idx)
     nrows = L.nrows * ncod
     ncols = L.ncols * ndom
-    data = [[f.zero()] * ncols for _ in range(nrows)]
+    data = [[0] * ncols for _ in range(nrows)]
     for t in range(L.nvars):
         block = L.coeffs[t].data
         # (domain index, codomain index) of x_t * x^e, computed once per (t, e)
@@ -631,7 +595,7 @@ def mult_map(L: LinearFormMatrix, d: int) -> DenseMatrix:
                 # x_t is fixed by (b, a), so each cell is written once
                 for a, b in shifted:
                     data[row_base + b][col_base + a] = c
-    return DenseMatrix(f, nrows, ncols, data)
+    return DenseMatrix(L.field, nrows, ncols, data)
 
 
 def onto_on_line(P: LinearFormMatrix) -> bool:
@@ -671,11 +635,11 @@ def compose_check(B: LinearFormMatrix, A: LinearFormMatrix) -> bool:
         for t in range(s + 1, m):
             st = B.coeffs[s].matmul(A.coeffs[t])
             ts = B.coeffs[t].matmul(A.coeffs[s])
-            mixed = [
-                [f.add(a, b) for a, b in zip(r1, r2)]
+            mixed = f.reduce([
+                [a + b for a, b in zip(r1, r2)]
                 for r1, r2 in zip(st.data, ts.data)
-            ]
-            if any(x != 0 for row in mixed for x in row):
+            ])
+            if any(x for row in mixed for x in row):
                 return False
     return True
 

@@ -48,7 +48,7 @@ def sample_line(seed: int, index: int, field, ambient_n: int = 3) -> Line:
 
 
 def _require_locally_free(M: SpecialMonad, classification):
-    cls = classification or M.classification or pointwise.classify(M)
+    cls = classification or pointwise.classify(M)
     if cls.level != "locally_free":
         raise NotLocallyFreeError(
             f"line scans require a locally-free sheaf; classification is {cls.level}")

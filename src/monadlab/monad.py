@@ -47,10 +47,9 @@ EXAMPLE_NAMES = ("torsion-free", "reflexive", "locally-free")
 
 
 class SpecialMonad:
-    """A special monad; immutable apart from a cached classification."""
+    """A special monad; immutable."""
 
-    __slots__ = ("ambient_n", "v", "w", "v_prime", "alpha", "beta", "field",
-                 "classification")
+    __slots__ = ("ambient_n", "v", "w", "v_prime", "alpha", "beta", "field")
 
     def __init__(self, ambient_n: int, alpha: LinearFormMatrix, beta: LinearFormMatrix):
         if ambient_n not in (2, 3):
@@ -72,7 +71,6 @@ class SpecialMonad:
         self.v = alpha.ncols
         self.w = alpha.nrows
         self.v_prime = beta.nrows
-        self.classification = None
 
     def dims(self) -> tuple[int, int, int]:
         return (self.v, self.w, self.v_prime)
@@ -415,10 +413,8 @@ def dualize(M: SpecialMonad, classification=None) -> SpecialMonad:
     Only valid when the cohomology sheaf is locally free; the left-map
     degeneracy classification is consulted (and computed if absent).
     """
-    cls = classification or M.classification
-    if cls is None:
-        from . import pointwise
-        cls = pointwise.classify(M)
+    from . import pointwise
+    cls = classification or pointwise.classify(M)
     if cls.level != "locally_free":
         raise NotLocallyFreeError(
             f"dual monad requires a locally-free sheaf; classification is {cls.level}"
@@ -506,29 +502,30 @@ def _solve_beta(alpha: LinearFormMatrix, v_prime: int, rng) -> LinearFormMatrix 
     for j in range(v):
         for a in range(nvars):
             for b in range(a, nvars):
-                row = [field.zero()] * nunk
+                row = [0] * nunk
                 for l in range(w):
-                    row[a * w + l] = field.add(row[a * w + l], alpha.coeffs[b].data[l][j])
+                    row[a * w + l] += alpha.coeffs[b].data[l][j]
                     if a != b:
-                        row[b * w + l] = field.add(row[b * w + l], alpha.coeffs[a].data[l][j])
+                        row[b * w + l] += alpha.coeffs[a].data[l][j]
                 rows.append(row)
-    constraints = DenseMatrix(field, len(rows), nunk, rows)
+    constraints = DenseMatrix(field, len(rows), nunk, field.reduce(rows))
     kern = constraints.right_kernel()
     if kern.ncols == 0:
         return None
     beta = LinearFormMatrix.zeros(field, v_prime, w, nvars)
     for i in range(v_prime):
         for _ in range(8):
-            combo = [field.zero()] * nunk
+            combo = [0] * nunk
             for c in range(kern.ncols):
-                coeff = field.coerce(rng.randint(-2, 2))
+                coeff = rng.randint(-2, 2)
                 if coeff == 0:
                     continue
                 for r in range(nunk):
                     x = kern.data[r][c]
-                    if x != 0:
-                        combo[r] = field.add(combo[r], field.mul(coeff, x))
-            if any(x != 0 for x in combo):
+                    if x:
+                        combo[r] += coeff * x
+            field.reduce([combo])
+            if any(combo):
                 break
         for t in range(nvars):
             for l in range(w):

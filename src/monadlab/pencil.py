@@ -65,11 +65,8 @@ class Line:
         if self.nvars != 4:
             raise ValueError("Plucker coordinates are defined for lines in P3")
         a, b = self.points
-        f = self.field
-        return tuple(
-            f.sub(f.mul(a[i], b[j]), f.mul(a[j], b[i]))
-            for i in range(4) for j in range(i + 1, 4)
-        )
+        minors = [a[i] * b[j] - a[j] * b[i] for i in range(4) for j in range(i + 1, 4)]
+        return tuple(self.field.reduce([minors])[0])
 
     def to_json_obj(self):
         return [[self.field.fmt(x) for x in pt] for pt in self.points]

@@ -142,6 +142,8 @@ def degeneracy_dim(L: LinearFormMatrix, full_rank: int | None = None,
     pencil slices, over F_q for enumerated slices) gives the dimension.
     """
     budget = budget or DegeneracyBudget()
+    if budget.slices < 1:
+        raise ValueError(f"need at least one slice per level, got {budget.slices}")
     T = L if L.nrows >= L.ncols else L.transpose()
     full = T.ncols
     if full_rank is not None and full_rank != full:
@@ -268,7 +270,7 @@ def classify(M, budget: DegeneracyBudget | None = None) -> ClassificationReport:
 
     On P3: empty locus -> locally free, points -> reflexive, a curve ->
     torsion-free.  On P2 a reflexive sheaf is already locally free, so a
-    finite locus reports torsion-free.  The report is cached on the monad.
+    finite locus reports torsion-free.
     """
     n = M.ambient_n
     deg = degeneracy_dim(M.alpha, None, budget)
@@ -291,6 +293,4 @@ def classify(M, budget: DegeneracyBudget | None = None) -> ClassificationReport:
                 "rank 2 with c3 = 0 cannot be reflexive without being locally "
                 f"free; the {confidence} degeneracy verdict is suspect"
             )
-    report = ClassificationReport(level, deg, confidence, warnings)
-    M.classification = report
-    return report
+    return ClassificationReport(level, deg, confidence, warnings)

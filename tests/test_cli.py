@@ -135,6 +135,18 @@ def test_dualize_and_dsum(capsys, tmp_path, lf_path):
     assert (obj["v"], obj["w"], obj["v_prime"]) == (2, 8, 2)
 
 
+def test_nonpositive_slices_are_a_usage_error(capsys, tmp_path):
+    tf_path = tmp_path / "tf.json"
+    tf2_path = tmp_path / "tf2.json"
+    run(capsys, "examples", "--name", "torsion-free", "--out", str(tf_path))
+    run(capsys, "dsum", str(tf_path), str(tf_path), "--out", str(tf2_path))
+    for command in ("classify", "stability", "dualize"):
+        for slices in ("0", "-2"):
+            code, out, err = run(capsys, command, str(tf2_path), "--slices", slices)
+            assert code == 2 and out == ""
+            assert err.startswith("monadlab: ") and "slice" in err
+
+
 def test_admissible_and_stability(capsys, lf_path):
     code, out, _ = run(capsys, "admissible", lf_path)
     assert code == 0 and json.loads(out)["passed"] is True

@@ -191,7 +191,7 @@ def test_parse_linear_form():
 def test_prime_field_arithmetic():
     f = GF(7)
     assert f.coerce(Fraction(1, 2)) == 4   # 2 * 4 = 8 = 1 mod 7
-    assert f.inv(3) == 5
+    assert f.coerce(Fraction(1, 3)) == 5   # 3 * 5 = 15 = 1 mod 7
     with pytest.raises(ValueError):
         GF(6)
 

@@ -13,6 +13,7 @@ from monadlab import (
     evaluate,
     example_monad,
     forms_matrix,
+    jumping_scan,
     random_monad,
     trivial_monad,
     validate,
@@ -77,7 +78,6 @@ def test_classification_of_the_three_examples():
         rep = classify(M)
         assert rep.level == level
         assert rep.confidence == "exact"
-        assert M.classification is rep
 
 
 def test_classification_display():
@@ -169,6 +169,23 @@ def test_budget_exhaustion_reports_unknown():
     assert rep.level == "coherent_only"
     assert rep.confidence == "unknown"
     assert rep.degeneracy.kind == "unknown"
+
+
+def test_a_budgeted_verdict_does_not_leak_into_later_calls():
+    # line scans and dualization classify with the default budget when no
+    # classification is passed; an earlier budget-starved call must not count
+    M = random_monad(2, 6, 2, seed=1)
+    assert classify(M, DegeneracyBudget(max_enum=10)).display == "CoherentOnly (unknown)"
+    assert jumping_scan(M, 101, 20).samples == 20
+    assert dualize(M).dims() == (2, 6, 2)
+
+
+def test_slice_budget_must_be_positive():
+    # with no slices the curve level is never tried, which reads as "no curve"
+    M = direct_sum(example_monad("torsion-free"), example_monad("torsion-free"))
+    for slices in (0, -3):
+        with pytest.raises(ValueError, match="slice"):
+            classify(M, DegeneracyBudget(slices=slices))
 
 
 def test_degeneracy_detects_a_surface():
