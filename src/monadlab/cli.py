@@ -289,7 +289,9 @@ def _add_common(sp, out=True):
 
 def _add_classify_knobs(sp):
     sp.add_argument("--prime", type=int, default=_default_prime(),
-                    help="prime for finite-field scans (env MONADLAB_PRIME)")
+                    help="modulus of the rank certificates for a monad over Q; "
+                         "a deficient rank mod p falls back to Q "
+                         "(env MONADLAB_PRIME)")
     sp.add_argument("--slices", type=int, default=50,
                     help="random slices per dimension level")
     sp.add_argument("--seed", type=int, default=0)

@@ -10,8 +10,10 @@ fraction-free Bareiss elimination over Q to control coefficient growth,
 ordinary Gaussian elimination over F_p.
 
 The module also provides monomial bases of the graded pieces of a
-polynomial ring (graded-lex, variable 0 highest) and matrices of linear
-forms together with the multiplication maps they induce on graded pieces.
+polynomial ring (graded-lex, variable 0 highest), matrices of linear
+forms together with the multiplication maps they induce on graded pieces,
+and onto_everywhere, which decides by one such rank whether a matrix of
+linear forms is onto at every point.
 Matrices are dense; the intended scale is a few thousand rows at most.
 """
 
@@ -598,23 +600,71 @@ def mult_map(L: LinearFormMatrix, d: int) -> DenseMatrix:
     return DenseMatrix(L.field, nrows, ncols, data)
 
 
-def onto_on_line(P: LinearFormMatrix) -> bool:
-    """True iff the pencil P : O^a -> O(1)^b on P1 is onto at every point.
+@dataclass(frozen=True)
+class OntoProof:
+    """The one rank that decides onto_everywhere, and where it was taken."""
 
-    Decided exactly, over the algebraic closure, by one rank: P is onto at
-    every point iff it is onto on sections in twist b-1, that is iff
-    rank mult_map(P, b-1) = b(b+1).  A pointwise surjection has a kernel
-    bundle of rank a-b and degree -b whose summands are all <= 0, so each
-    has degree >= -b and its H^1 vanishes in twist b-1; conversely, an image
-    containing all sections of the globally generated O(b)^b is onto at
-    every point.  A map O(-1)^v -> O^w is injective at every point iff its
-    transpose O^w -> O(1)^v is onto at every point, so the same test decides
-    the left map of a restricted monad.
+    onto: bool
+    rank: int
+    target: int          # b * |S_b|, full row rank
+    shape: tuple[int, int]
+    over: str            # field of the deciding rank: "Q" or "Fp:<p>"
+
+    def __str__(self):
+        rel = "=" if self.onto else "<"
+        return (f"rank {self.rank} {rel} {self.target} of the "
+                f"{self.shape[0]}x{self.shape[1]} multiplication map over {self.over}")
+
+
+def onto_everywhere(P: LinearFormMatrix, prime: int = DEFAULT_PRIME) -> OntoProof:
+    """Decide whether P : O^a -> O(1)^b on P^n is onto at every point.
+
+    The points are those over the algebraic closure, and one rank decides,
+    for any number n + 1 of variables: P is onto at every point iff it is
+    onto on sections in twist b-1, that is iff
+    rank mult_map(P, b-1) = b * |S_b|.
+
+    If P is onto at every point, its kernel K is a vector bundle resolved
+    by the Buchsbaum-Rim complex of P, which is exact wherever the maximal
+    minors generate the unit ideal, here everywhere:
+    0 -> C_{a-b+1} -> ... -> C_2 -> K -> 0 with C_i = O(-b-i+2)^{m_i}.
+    Splitting it into short exact sequences, H^1(K(k)) is built from
+    subquotients of H^{i-1}(C_i(k)), i >= 2.  Line bundles on P^n have no
+    cohomology in degrees 1..n-1, so only H^n(C_{n+1}(k)) =
+    H^n(O(k-b-n+1))^m can be nonzero, and it vanishes for k >= b-1.  Then
+    H^0(O(k)^a) -> H^0(O(k+1)^b) is onto.  Conversely, if P is not onto at
+    a point x, the image of P(x) is a proper subspace of the fiber, and
+    every section in the image takes its value at x inside it; the globally
+    generated O(b)^b has a section whose value at x lies outside, so the
+    map on sections in twist b-1 is not onto.  Rank does not change under
+    field extension, so the rank over the base field decides the statement
+    over its algebraic closure.
+
+    Over Q the rank is first taken mod `prime`: the reduction can only
+    lower a rank, so full rank mod p proves full rank over Q.  The rank
+    over Q is computed only when the rank mod p is deficient or a
+    denominator of P vanishes mod p.  A map O(-1)^v -> O^w is injective at
+    every point iff its transpose O^w -> O(1)^v is onto there, so the same
+    test decides left maps.
     """
-    if P.nvars != 2:
-        raise ShapeMismatchError("a pencil lives in two parameters")
     b = P.nrows
-    return mult_map(P, b - 1).rank() == b * (b + 1)
+    target = b * monomial_count(P.nvars, b)
+    if P.field.kind == "Q":
+        try:
+            Pp = P.to_field(PrimeField(prime))
+        except ZeroDivisionError:
+            Pp = None
+        if Pp is not None:
+            proof = _onto_proof(Pp, target)
+            if proof.onto:
+                return proof
+    return _onto_proof(P, target)
+
+
+def _onto_proof(P: LinearFormMatrix, target: int) -> OntoProof:
+    m = mult_map(P, P.nrows - 1)
+    r = m.rank()
+    return OntoProof(r == target, r, target, (m.nrows, m.ncols), P.field.name)
 
 
 def compose_check(B: LinearFormMatrix, A: LinearFormMatrix) -> bool:

@@ -148,14 +148,14 @@ def jumping_scan(M: SpecialMonad, prime: int, samples: int, seed: int = 0,
     reduced left or right map drops rank are counted separately as
     degenerate.  Requires a locally-free sheaf with c1 = 0.
     """
+    field = PrimeField(prime)
+    if M.field not in (QQ, field):
+        raise MonadLabError(f"monad lives over {M.field.name}, cannot scan mod {prime}")
     _require_locally_free(M, classification)
     if invariants(M).c1 != 0:
         raise ValueError("jumping scans are defined for c1 = 0 sheaves")
     _check_samples(samples)
-    field = PrimeField(prime)
-    M_scan = to_prime_field(M, prime) if M.field == QQ else M
-    if M_scan.field != field:
-        raise MonadLabError(f"monad lives over {M.field.name}, cannot scan mod {prime}")
+    M_scan = to_prime_field(M, prime)
     jumping = 0
     degenerate = 0
     spectrum: dict[tuple[int, ...], int] = {}

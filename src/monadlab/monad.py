@@ -189,12 +189,8 @@ def invariants(M: SpecialMonad) -> ChernData:
 
 @dataclass(frozen=True)
 class ValidationBudget:
-    """Sampling effort for the Monte-Carlo parts of validate()."""
+    """Sampling effort of the generic-injectivity check of the left map."""
 
-    qq_samples: int = 24
-    enum_primes: tuple[int, ...] = (5, 7)
-    fp_prime: int = exactlin.DEFAULT_PRIME
-    fp_samples: int = 400
     alpha_samples: int = 40
     seed: int = 0
 
@@ -255,28 +251,7 @@ def random_point(rng, field, nvars: int):
             return pt
 
 
-def projective_points(p: int, nvars: int):
-    """All points of P^{nvars-1}(F_p), one representative each (first nonzero
-    coordinate 1), ordered by the position of that coordinate, then the rest
-    lexicographically."""
-    for lead in range(nvars):
-        tail = nvars - lead - 1
-        for rest in itertools.product(range(p), repeat=tail):
-            yield [0] * lead + [1] + list(rest)
-
-
-def lift_drops_rank(L: LinearFormMatrix, pt, full: int) -> bool:
-    """Recheck a rank drop of L seen mod q at the point pt of F_q.
-
-    A drop mod q proves nothing over Q, so a rational L is evaluated at the
-    integer lift of pt; a drop seen in L's own prime field stands as is.
-    """
-    if L.field.kind == "Fp":
-        return True
-    return L.at([int(x) for x in pt]).rank() < full
-
-
-def _check_beta_surjective(M: SpecialMonad, budget: ValidationBudget) -> CheckResult:
+def _check_beta_surjective(M: SpecialMonad) -> CheckResult:
     vp = M.v_prime
     n = M.ambient_n
     name = "beta_surjective"
@@ -297,45 +272,12 @@ def _check_beta_surjective(M: SpecialMonad, budget: ValidationBudget) -> CheckRe
                            f"coefficient rank {r} < {n + 1}: common zero locus "
                            f"of dimension {n - r}",
                            witness=_fmt_point(M.field, wit))
-
-    # v' >= 2: decide by sampling; full enumeration over small prime fields,
-    # random points over a large one, random rational points.
-    where = "a rational point" if M.field == QQ else f"a point over {M.field.name}"
-
-    def failure(pt):
-        return CheckResult(name, False, "exact", f"rank drop at {where}",
-                           witness=_fmt_point(M.field, pt))
-
-    checked = 0
-    for q in budget.enum_primes:
-        try:
-            Mq = to_prime_field(M, q)
-        except MonadLabError:
-            continue
-        for pt in projective_points(q, n + 1):
-            checked += 1
-            if Mq.beta.at(pt).rank() < vp and lift_drops_rank(M.beta, pt, vp):
-                return failure(pt)
-    rng = rng_for("validate-beta", budget.seed, M.w, M.v_prime)
-    if M.field == QQ:
-        try:
-            Mp = to_prime_field(M, budget.fp_prime)
-        except MonadLabError:
-            Mp = None
-        if Mp is not None:
-            for _ in range(budget.fp_samples):
-                pt = random_point(rng, Mp.field, n + 1)
-                checked += 1
-                if Mp.beta.at(pt).rank() < vp and lift_drops_rank(M.beta, pt, vp):
-                    return failure(pt)
-    samples = budget.qq_samples if M.field == QQ else budget.fp_samples
-    for _ in range(samples):
-        pt = random_point(rng, M.field, n + 1)
-        checked += 1
-        if M.beta.at(pt).rank() < vp:
-            return failure(pt)
-    return CheckResult(name, True, "monte_carlo",
-                       f"no rank drop at {checked} sampled/enumerated points")
+    proof = exactlin.onto_everywhere(M.beta)
+    if proof.onto:
+        return CheckResult(name, True, "exact", f"onto at every point: {proof}")
+    return CheckResult(name, False, "exact",
+                       f"rank drop at a point over the algebraic closure of "
+                       f"{M.field.name}: {proof}")
 
 
 def _check_alpha_injective(M: SpecialMonad, budget: ValidationBudget) -> CheckResult:
@@ -374,16 +316,19 @@ def _check_alpha_injective(M: SpecialMonad, budget: ValidationBudget) -> CheckRe
 def validate(M: SpecialMonad, budget: ValidationBudget | None = None) -> ValidationReport:
     """Check the three monad conditions and report per-condition confidence.
 
-    Composition and (for v' <= 1) pointwise surjectivity of the right map are
-    exact; for v' >= 2 surjectivity is sampled and reported as monte_carlo.
-    Generic injectivity of the left map is always decided exactly: a witness
-    point certifies it, and the fallback grid evaluation refutes it.
+    Composition is an identity of quadrics.  The right map is onto at every
+    point, over the algebraic closure, iff one rank is full
+    (exactlin.onto_everywhere); for a single row that rank is the
+    coefficient rank, and a failure names a common zero.  Both are exact.
+    Generic injectivity of the left map is certified by a witness point, or
+    refuted by the fallback grid evaluation; only a prime field too small
+    for that grid leaves it monte_carlo.
     """
     budget = budget or ValidationBudget()
     comp_ok = exactlin.compose_check(M.beta, M.alpha)
     composition = CheckResult("composition_zero", comp_ok, "exact",
                               "" if comp_ok else "beta*alpha has a nonzero quadric entry")
-    beta_check = _check_beta_surjective(M, budget)
+    beta_check = _check_beta_surjective(M)
     alpha_check = _check_alpha_injective(M, budget)
     rank_zero = (M.w == M.v + M.v_prime)
     notes = []

@@ -8,8 +8,8 @@ parametrization into the monad's linear forms gives a pencil complex
 of binary linear forms.  When the line is clean, that is the left pencil
 keeps full column rank and the right pencil full row rank at every point
 of the line, the pencil is a monad on P1 and computes the restricted
-sheaf.  Each condition is one rank (exactlin.onto_on_line, applied to the
-right pencil and to the transpose of the left one; see line_status).  Its
+sheaf.  Each condition is one rank (exactlin.onto_everywhere, applied to
+the right pencil and to the transpose of the left one; see line_status).  Its
 twist cohomology is the n = 1 case of cohomology.complex_cohomology: Serre
 duality gives the H^1 ranks, and the single differential d_2 = B_t A_s
 acts at twist -1.  The splitting type is then reconstructed from the
@@ -33,7 +33,7 @@ from .exactlin import (
     LinearFormMatrix,
     compose_check,
     mult_map,
-    onto_on_line,
+    onto_everywhere,
 )
 from .monad import SpecialMonad
 
@@ -131,7 +131,7 @@ def line_status(pc: PencilComplex) -> LineStatus:
     """Clean iff both maps keep full rank at every point of the line.
 
     Decided exactly, over the algebraic closure of the whole line, by
-    exactlin.onto_on_line: the right map O^w -> O(1)^v' must be onto at
+    exactlin.onto_everywhere: the right map O^w -> O(1)^v' must be onto at
     every point, and the left map O(-1)^v -> O^w injective at every point,
     that is its transpose O^w -> O(1)^v onto.  A failing left map drops
     rank on the whole line iff it is not injective on sections in twist v,
@@ -143,13 +143,13 @@ def line_status(pc: PencilComplex) -> LineStatus:
     if pc._status is not None:
         return pc._status
     v = pc.v
-    if not onto_on_line(pc.A.transpose()):
+    if not onto_everywhere(pc.A.transpose()).onto:
         if mult_map(pc.A, v - 1).rank() < v * v:
             note = "left map drops rank identically on the line"
         else:
             note = "left map drops rank at a point of the line"
         status = LineStatus(False, note, "left")
-    elif not onto_on_line(pc.B):
+    elif not onto_everywhere(pc.B).onto:
         status = LineStatus(False, "right map drops rank at a point of the line",
                             "right")
     else:

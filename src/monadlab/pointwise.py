@@ -9,13 +9,15 @@ of the locus where the left map drops below full column rank:
     anything larger  -> coherent only
 
 When the short side of the matrix is a single column or row the locus is
-a linear subspace and the dimension is exact.  Otherwise it is estimated
-by random linear slices over finite fields: a generic slice of codimension
-d meets the locus exactly when the locus has dimension >= d.  A line slice
-is decided over the algebraic closure by one rank: the matrix stays
-injective at every point of the line iff its transpose is onto there
-(exactlin.onto_on_line).  Slice verdicts are Monte-Carlo and are never
-upgraded to exact.
+a linear subspace and the dimension is exact.  Otherwise each level is
+decided by one rank: the matrix is injective at every point of a linear
+subspace iff its transpose, restricted there, is onto at every point
+(exactlin.onto_everywhere).  The scan restricts to random subspaces P^e
+for e = 0, 1, ..., n, rational over the matrix's own field.  A slice that
+misses the locus proves exactly that the locus has dimension < n - e; a
+level whose random slices all meet it suggests dimension >= n - e, a
+Monte-Carlo lower bound.  At e = n the slice is all of P^n, so an empty or
+finite locus is exact and larger loci are Monte-Carlo.
 """
 
 from __future__ import annotations
@@ -24,13 +26,12 @@ from dataclasses import dataclass, field as dc_field
 
 from . import monad as monad_mod
 from ._seeds import rng_for
-from .errors import MonadLabError, ShapeMismatchError
+from .errors import ShapeMismatchError
 from .exactlin import (
     DEFAULT_PRIME,
     DenseMatrix,
     LinearFormMatrix,
-    PrimeField,
-    onto_on_line,
+    onto_everywhere,
 )
 
 LEVELS = ("locally_free", "reflexive", "torsion_free", "coherent_only")
@@ -55,18 +56,16 @@ def evaluate(L: LinearFormMatrix, point) -> DenseMatrix:
 
 @dataclass(frozen=True)
 class DegeneracyBudget:
-    """Effort knobs for the finite-field slice scan."""
+    """Effort knobs for the slice scan."""
 
-    prime: int = DEFAULT_PRIME     # point and pencil slices
-    slices: int = 50               # random slices per dimension level
-    enum_prime: int = 31           # slices that must be enumerated pointwise
-    max_enum: int = 2_000_000      # refuse enumerations beyond this
+    prime: int = DEFAULT_PRIME     # modulus of the rank certificates over Q
+    slices: int = 50               # random slices per level before it counts as met
     seed: int = 0
 
 
 @dataclass
 class DegeneracyResult:
-    kind: str                      # "empty" | "dim" | "unknown"
+    kind: str                      # "empty" | "dim"
     dim: int | None
     method: dict
     witness: list[str] | None = None
@@ -75,7 +74,7 @@ class DegeneracyResult:
 
     @property
     def exact(self) -> bool:
-        return self.method.get("kind") == "exact_linear"
+        return self.method.get("kind") in ("exact_linear", "onto_rank")
 
     def to_json_obj(self):
         return {
@@ -112,34 +111,31 @@ def _exact_linear(L: LinearFormMatrix) -> DegeneracyResult:
     )
 
 
-def _reduce(L: LinearFormMatrix, p: int) -> LinearFormMatrix:
-    if L.field.kind == "Fp":
-        if L.field.p != p:
-            raise MonadLabError(f"matrix already lives over {L.field.name}")
-        return L
-    try:
-        return L.to_field(PrimeField(p))
-    except ZeroDivisionError as exc:
-        raise MonadLabError(
-            f"cannot reduce mod {p}: {exc}; pick a different scan prime") from exc
-
-
-def _rand_subspace(rng, p: int, nvars: int, dim_plus_1: int, field):
-    """Rows spanning a projective subspace of dimension dim_plus_1 - 1."""
+def _random_span(rng, field, nvars: int, count: int):
+    """Rows of `count` random points spanning a P^(count-1)."""
     while True:
-        rows = [[rng.randrange(p) for _ in range(nvars)] for _ in range(dim_plus_1)]
-        if DenseMatrix(field, dim_plus_1, nvars, rows).rank() == dim_plus_1:
+        rows = [monad_mod.random_point(rng, field, nvars) for _ in range(count)]
+        if DenseMatrix(field, count, nvars, rows).rank() == count:
             return rows
+
+
+def _slice(T: LinearFormMatrix, span) -> LinearFormMatrix:
+    """The transpose of T restricted to the subspace spanned by `span`."""
+    return LinearFormMatrix(T.field, T.ncols, T.nrows, len(span),
+                            [T.at(pt).transpose() for pt in span])
 
 
 def degeneracy_dim(L: LinearFormMatrix, full_rank: int | None = None,
                    budget: DegeneracyBudget | None = None) -> DegeneracyResult:
     """Dimension of the locus where L drops below full (short-side) rank.
 
-    Exact when the short side is at most 1; otherwise a finite-field slice
-    scan, descending from codimension-0 candidates: the first level whose
-    random slice meets the locus (over the algebraic closure for point and
-    pencil slices, over F_q for enumerated slices) gives the dimension.
+    Exact when the short side is at most 1.  Otherwise one loop over slice
+    dimensions e = 0, ..., n: at level e, up to `slices` random P^e are
+    tried, and the first whose restriction passes exactlin.onto_everywhere
+    rules out dimension >= n - e exactly.  The first level where every
+    slice meets the locus gives dim = n - e.  The slice at e = n is all of
+    P^n, so "empty" and dimension 0 are exact; larger dimensions are
+    Monte-Carlo lower bounds under an exact upper bound.
     """
     budget = budget or DegeneracyBudget()
     if budget.slices < 1:
@@ -155,101 +151,43 @@ def degeneracy_dim(L: LinearFormMatrix, full_rank: int | None = None,
         return _exact_linear(T)
 
     n = T.nvars - 1
-    Tp = _reduce(T, budget.prime if T.field.kind == "Q" else T.field.p)
-    p = Tp.field.p
-    enum_p = budget.enum_prime if T.field.kind == "Q" else T.field.p
-    method = {
-        "kind": "finite_field_scan",
-        "prime": p,
-        "enum_prime": enum_p,
-        "slices": budget.slices,
-    }
-    refused = False
-    for d in range(n, -1, -1):
-        e = n - d  # projective dimension of the slice
-        if e == 0:
-            rng = rng_for("degeneracy-pt", budget.seed, d)
-            for _ in range(budget.slices):
-                pt = monad_mod.random_point(rng, Tp.field, n + 1)
-                if Tp.at(pt).rank() < full and monad_mod.lift_drops_rank(T, pt, full):
-                    return DegeneracyResult(
-                        "dim", d, method, witness=_fmt_vec(Tp.field, pt),
-                        note=f"rank drop at a random point over F_{p}")
-        elif e == 1:
-            rng = rng_for("degeneracy-line", budget.seed, d)
-            for _ in range(budget.slices):
-                span = _rand_subspace(rng, p, n + 1, 2, Tp.field)
-                # T restricted to the line is injective at every point iff
-                # its transpose O^nrows -> O(1)^full is onto at every point
-                slice_t = LinearFormMatrix(Tp.field, full, T.nrows, 2,
-                                           [Tp.at(pt).transpose() for pt in span])
-                if not onto_on_line(slice_t):
-                    return DegeneracyResult(
-                        "dim", d, method,
-                        note=f"maximal minors on a random line over F_{p} share "
-                             "a root over the algebraic closure")
-        else:
-            npoints = (enum_p ** (e + 1) - 1) // (enum_p - 1)
-            nslices = 1 if e == n else budget.slices
-            if npoints * nslices > budget.max_enum:
-                refused = True
-                continue
-            try:
-                Tq = _reduce(T, enum_p)
-            except MonadLabError:
-                refused = True
-                continue
-            qq = Tq.field.p
+    field = T.field
+    prime = field.p if field.kind == "Fp" else budget.prime
+    rng = rng_for("degeneracy", budget.seed)
+    for e in range(n + 1):
+        for _ in range(1 if e == n else budget.slices):
             if e == n:
-                # last resort: is the locus nonempty at all?  All larger
-                # dimensions were already ruled out, so any surviving point
-                # means a finite locus.
-                for pt in monad_mod.projective_points(qq, n + 1):
-                    if Tq.at(pt).rank() < full and monad_mod.lift_drops_rank(T, pt, full):
-                        return DegeneracyResult(
-                            "dim", d, method, witness=_fmt_vec(Tq.field, pt),
-                            note=f"rank drop found by full enumeration over F_{qq}")
-                continue
-            # A single rational point of the locus lands on a random slice
-            # with probability ~1/q even when the dimension is too small, so
-            # an isolated hit must not decide the level: demand hits on a
-            # fixed fraction of the slices.
-            rng = rng_for("degeneracy-enum", budget.seed, d)
-            reps = list(monad_mod.projective_points(qq, e + 1))
-            needed = max(2, nslices // 5)
-            hits = 0
-            witness = None
-            for s in range(nslices):
-                if hits + (nslices - s) < needed:
-                    break
-                span = _rand_subspace(rng, qq, n + 1, e + 1, Tq.field)
-                for rep in reps:
-                    pt = [0] * (n + 1)
-                    for c, row in zip(rep, span):
-                        if c:
-                            for t in range(n + 1):
-                                pt[t] = (pt[t] + c * row[t]) % qq
-                    if Tq.at(pt).rank() < full and monad_mod.lift_drops_rank(T, pt, full):
-                        hits += 1
-                        witness = pt
-                        break
-                if hits >= needed:
-                    return DegeneracyResult(
-                        "dim", d, method, witness=_fmt_vec(Tq.field, witness),
-                        note=f"{hits} of {s + 1} random slices over F_{qq} "
-                             "met the locus")
-    if refused:
-        return DegeneracyResult("unknown", None, method,
-                                note="some slice levels exceeded the enumeration cap")
-    return DegeneracyResult("empty", None, method,
-                            note="no slice met the locus")
+                S = T.transpose()          # the slice at e = n is all of P^n
+            else:
+                S = _slice(T, _random_span(rng, field, n + 1, e + 1))
+            proof = onto_everywhere(S, prime)
+            if proof.onto:
+                break
+        else:
+            method = _method("onto_rank" if e == n else "slice_scan",
+                             prime, budget.slices, e, proof)
+            if e == n:
+                note = f"the locus is not empty: {proof}"
+            else:
+                note = (f"all {budget.slices} random P^{e} slices meet the "
+                        f"locus, the last with {proof}")
+            return DegeneracyResult("dim", n - e, method, note=note)
+    return DegeneracyResult("empty", None,
+                            _method("onto_rank", prime, budget.slices, n, proof),
+                            note=f"full rank at every point: {proof}")
+
+
+def _method(kind: str, prime: int, slices: int, level: int, proof) -> dict:
+    """The proof of a slice verdict: slice level, matrix shape, rank, field."""
+    return {"kind": kind, "prime": prime, "slices": slices, "level": level,
+            "shape": list(proof.shape), "rank": proof.rank, "over": proof.over}
 
 
 @dataclass
 class ClassificationReport:
     level: str                     # one of LEVELS
     degeneracy: DegeneracyResult
-    confidence: str                # "exact" | "monte_carlo" | "unknown"
+    confidence: str                # "exact" | "monte_carlo"
     warnings: list[str] = dc_field(default_factory=list)
 
     @property
@@ -274,17 +212,13 @@ def classify(M, budget: DegeneracyBudget | None = None) -> ClassificationReport:
     """
     n = M.ambient_n
     deg = degeneracy_dim(M.alpha, None, budget)
-    if deg.kind == "unknown":
-        confidence = "unknown"
-        level = "coherent_only"
+    confidence = "exact" if deg.exact else "monte_carlo"
+    if deg.kind == "empty":
+        level = "locally_free"
+    elif n == 3:
+        level = {0: "reflexive", 1: "torsion_free"}.get(deg.dim, "coherent_only")
     else:
-        confidence = "exact" if deg.exact else "monte_carlo"
-        if deg.kind == "empty":
-            level = "locally_free"
-        elif n == 3:
-            level = {0: "reflexive", 1: "torsion_free"}.get(deg.dim, "coherent_only")
-        else:
-            level = "torsion_free" if deg.dim == 0 else "coherent_only"
+        level = "torsion_free" if deg.dim == 0 else "coherent_only"
     warnings = []
     if n == 3 and level == "reflexive":
         inv = monad_mod.invariants(M)

@@ -147,6 +147,26 @@ def test_nonpositive_slices_are_a_usage_error(capsys, tmp_path):
             assert err.startswith("monadlab: ") and "slice" in err
 
 
+def test_classify_with_a_bad_certificate_prime(capsys, tmp_path):
+    # mod 3 the left map drops rank at some points; --prime only picks the
+    # modulus of the rank certificate, and the rank over Q decides
+    path = tmp_path / "m.json"
+    run(capsys, "generate", "--dims", "2,6,2", "--seed", "1", "--out", str(path))
+    code, out, _ = run(capsys, "classify", str(path), "--prime", "3")
+    assert (code, out) == (0, "LocallyFree (exact)\n")
+
+
+def test_classify_over_f101_is_one_rank_per_level(capsys, tmp_path):
+    import time
+    from monadlab import encode, random_monad, to_prime_field
+    path = tmp_path / "m101.json"
+    path.write_bytes(encode(to_prime_field(random_monad(2, 6, 2, seed=1), 101)))
+    start = time.monotonic()
+    code, out, _ = run(capsys, "classify", str(path))
+    assert (code, out) == (0, "LocallyFree (exact)\n")
+    assert time.monotonic() - start < 1.0
+
+
 def test_admissible_and_stability(capsys, lf_path):
     code, out, _ = run(capsys, "admissible", lf_path)
     assert code == 0 and json.loads(out)["passed"] is True
@@ -239,7 +259,7 @@ def test_jumping_scan_at_prime_2(capsys, tmp_path):
     # beta mod 2 of this monad drops rank at all 15 points of P3(F_2), so
     # every line is degenerate; deciding that takes no interpolation points
     from monadlab import random_monad, to_prime_field
-    from monadlab.monad import projective_points
+    from oracles import projective_points
     M2 = to_prime_field(random_monad(2, 6, 2, seed=1), 2)
     assert all(M2.beta.at(pt).rank() < 2 for pt in projective_points(2, 4))
     path = tmp_path / "m.json"

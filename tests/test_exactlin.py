@@ -7,6 +7,8 @@ from math import comb
 import pytest
 
 from monadlab.errors import ShapeMismatchError
+from monadlab.monad import random_monad, to_prime_field
+from oracles import projective_points
 from monadlab.exactlin import (
     GF,
     QQ,
@@ -19,7 +21,7 @@ from monadlab.exactlin import (
     monomial_count,
     monomial_exponents,
     mult_map,
-    onto_on_line,
+    onto_everywhere,
     parse_linear_form,
     rank,
 )
@@ -141,14 +143,14 @@ def _left_verdict(field, rows):
     """
     A = forms_matrix(field, 2, rows)
     v = A.ncols
-    if onto_on_line(A.transpose()):
+    if onto_everywhere(A.transpose()).onto:
         return "onto"
     return "identically" if mult_map(A, v - 1).rank() < v * v else "point"
 
 
-def test_onto_on_line_known_answers():
-    # x0 = s, x1 = t.  Columns (s, t, 0) and (s, 0, 0): the only nonzero
-    # maximal minor is -st, so the map drops rank at s = 0 and at t = 0
+def test_onto_everywhere_known_answers():
+    # on P1, x0 = s, x1 = t.  Columns (s, t, 0) and (s, 0, 0): the only
+    # nonzero maximal minor is -st, so the map drops rank at s = 0 and t = 0
     assert _left_verdict(QQ, [["x0", "x0"], ["x1", "0"], ["0", "0"]]) == "point"
     # minors include s^2 and t^2, which have no common root
     rows = [["x0", "0"], ["0", "x0"], ["x1", "0"], ["0", "x1"]]
@@ -163,11 +165,73 @@ def test_onto_on_line_known_answers():
     assert _left_verdict(GF(2), [["x0", "x1"], ["x1", "x0"]]) == "point"
     assert _left_verdict(GF(2), rows) == "onto"
     # the right map of a restricted monad, and an empty codomain
-    assert onto_on_line(forms_matrix(QQ, 2, [["x1", "x0", "0"]]))
-    assert not onto_on_line(forms_matrix(QQ, 2, [["x0", "0", "0"]]))
-    assert onto_on_line(LinearFormMatrix.zeros(QQ, 0, 3, 2))
-    with pytest.raises(ShapeMismatchError):
-        onto_on_line(forms_matrix(QQ, 3, [["x", "y"]]))
+    assert onto_everywhere(forms_matrix(QQ, 2, [["x1", "x0", "0"]])).onto
+    assert not onto_everywhere(forms_matrix(QQ, 2, [["x0", "0", "0"]])).onto
+    assert onto_everywhere(LinearFormMatrix.zeros(QQ, 0, 3, 2)).onto
+
+    # on P2: one row is onto iff its forms have no common zero
+    assert onto_everywhere(forms_matrix(QQ, 3, [["x", "y", "z"]])).onto
+    assert not onto_everywhere(forms_matrix(QQ, 3, [["x", "y", "0"]])).onto
+    # minors x^2, xy, xz, y^2 - xz, yz, z^2 have no common zero
+    proof = onto_everywhere(forms_matrix(QQ, 3, [["x", "y", "z", "0"],
+                                                 ["0", "x", "y", "z"]]))
+    assert proof.onto and (proof.rank, proof.target) == (12, 12)
+    assert proof.shape == (12, 12) and proof.over == "Fp:32003"
+    # every 2x2 minor vanishes at [1:1:1]
+    assert not onto_everywhere(forms_matrix(QQ, 3, [["x", "y", "z"],
+                                                    ["y", "z", "x"]])).onto
+    # a 2x3 matrix on P2 drops rank on a finite set, three points counted
+    # with multiplicity, in any field; over F_7 these lie off P2(F_7)
+    rows = [["-y", "2*x", "x-z"], ["2*x", "z", "3*y"]]
+    f7 = forms_matrix(GF(7), 3, rows)
+    assert all(f7.at(pt).rank() == 2 for pt in projective_points(7, 3))
+    assert not onto_everywhere(f7).onto
+    f5 = forms_matrix(GF(5), 3, rows)
+    assert [pt for pt in projective_points(5, 3) if f5.at(pt).rank() < 2] == [[1, 3, 2]]
+    assert not onto_everywhere(f5).onto
+
+    # over Q the rank mod p is only a lower bound: a deficient rank, or a
+    # denominator that vanishes mod p, falls back to the rank over Q
+    for text in ("5*x", "1/5*x"):
+        proof = onto_everywhere(forms_matrix(QQ, 3, [[text, "y", "z"]]), prime=5)
+        assert proof.onto and proof.over == "Q"
+        assert onto_everywhere(forms_matrix(QQ, 3, [[text, "y", "z"]])).over == "Fp:32003"
+
+
+def _rank_drops(P):
+    """Points of P^n(F_p) where P, over F_p, is not onto: brute force."""
+    return [pt for pt in projective_points(P.field.p, P.nvars)
+            if P.at(pt).rank() < P.nrows]
+
+
+def _sparse_forms(rng, field, nrows, ncols, density):
+    entries = [[[rng.randrange(field.p) if rng.random() < density else 0
+                 for _ in range(4)] for _ in range(ncols)] for _ in range(nrows)]
+    return LinearFormMatrix.from_entry_forms(field, 4, entries)
+
+
+def test_onto_everywhere_never_misses_an_enumerated_drop():
+    # one direction only: a drop at a rational point must fail the rank
+    # test; a map that passes may still fail over an extension field
+    bad = random_monad(2, 6, 2, seed=3)
+    cases = [to_prime_field(bad, 5).beta, to_prime_field(bad, 7).beta,
+             to_prime_field(random_monad(2, 6, 2, seed=1), 2).beta]
+    rng = random.Random(20261018)
+    for p in (5, 7):
+        for i in range(25):
+            density = 0.15 + 0.02 * i
+            cases.append(_sparse_forms(rng, GF(p), 2, 6, density))            # beta
+            cases.append(_sparse_forms(rng, GF(p), 6, 2, density).transpose())  # alpha^T
+    with_drops = passed = 0
+    for k, P in enumerate(cases):
+        drops = _rank_drops(P)
+        proof = onto_everywhere(P)
+        if drops:
+            with_drops += 1
+            assert not proof.onto, (k, drops[0], proof)
+        passed += proof.onto
+    assert all(_rank_drops(P) for P in cases[:3])
+    assert with_drops >= 20 and passed >= 20, (with_drops, passed)
 
 
 def test_compose_check():

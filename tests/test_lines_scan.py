@@ -188,6 +188,17 @@ def test_jumping_scan_on_prime_field_monad():
         jumping_scan(M, 103, 50, classification=classify(M))
 
 
+def test_scan_checks_the_field_before_the_sheaf():
+    # a torsion-free sheaf over F_101 scanned mod 7: the wrong field is the
+    # first thing to report, before classification refuses the sheaf
+    from monadlab import MonadLabError
+    M = to_prime_field(example_monad("torsion-free"), 101)
+    with pytest.raises(MonadLabError, match="cannot scan mod 7"):
+        jumping_scan(M, 7, 10)
+    with pytest.raises(NotLocallyFreeError):
+        jumping_scan(M, 101, 10)
+
+
 def test_scans_work_on_p2_monads():
     from monadlab import SpecialMonad, forms_matrix
     a2 = forms_matrix(QQ, 3, [["x"], ["y"], ["z"], ["0"]])
@@ -257,7 +268,7 @@ def test_scan_mod_a_prime_where_beta_degenerates_at_some_points(bad_reduction_mo
     # mod 5 the right map drops rank at a few points; lines through them
     # are degenerate, the others are scanned as usual
     from monadlab.lines_scan import _line_splitting
-    from monadlab.monad import projective_points
+    from oracles import projective_points
     M, cls = bad_reduction_monad
     rep = jumping_scan(M, 5, 300, seed=7, classification=cls)
     assert rep.degenerate > 0

@@ -11,6 +11,7 @@ from monadlab import (
     NotRepresentableError,
     QQ,
     GF,
+    LinearFormMatrix,
     SpecialMonad,
     decode,
     direct_sum,
@@ -79,12 +80,26 @@ def test_validate_catches_common_zero_of_beta():
 
 
 def test_beta_rank_drop_over_a_prime_field_names_the_field():
-    # mod 101 the right map of this monad has rank 1 everywhere; the drop is
-    # found by the random-sample loop, which must not call the point rational
+    # mod 101 the right map of this monad has rank 1 everywhere; one rank
+    # over F_101 decides it, and the detail must not call the point rational
     rep = validate(to_prime_field(random_monad(2, 6, 2, seed=0), 101))
-    assert not rep.beta_surjective.passed
-    assert rep.beta_surjective.detail == "rank drop at a point over Fp:101"
-    assert rep.beta_surjective.witness == ["18", "30", "37", "81"]
+    beta = rep.beta_surjective
+    assert beta.passed is False and beta.confidence == "exact"
+    assert "Fp:101" in beta.detail and "rational" not in beta.detail
+    assert beta.witness is None
+
+
+def test_validate_finds_rank_drops_off_the_rational_points():
+    # the 2x2 minors of this right map vanish together only where
+    # x^2 + y^2 = z^2 + w^2 = 0, e.g. at [1:i:1:i]: no rational point drops
+    # rank, yet the map is not onto over the algebraic closure
+    beta = forms_matrix(QQ, 4, [["x", "-y", "z", "w"], ["y", "x", "w", "-z"]])
+    M = SpecialMonad(3, LinearFormMatrix.zeros(QQ, 4, 0, 4), beta)
+    rep = validate(M)
+    assert rep.beta_surjective.passed is False
+    assert rep.beta_surjective.confidence == "exact"
+    assert "algebraic closure of Q" in rep.beta_surjective.detail
+    assert not rep.overall
 
 
 def test_validate_catches_degenerate_alpha():

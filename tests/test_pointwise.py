@@ -95,25 +95,32 @@ def test_monotonicity_extra_row_drops_dimension():
 
 
 def test_monte_carlo_classification_known_answers():
+    # an empty or finite locus is decided exactly by the rank on all of P3;
+    # a curve is a Monte-Carlo lower bound: every random plane met it
     budget = DegeneracyBudget(seed=1)
     pairs = [
-        (("locally-free", "locally-free"), "locally_free"),
-        (("torsion-free", "torsion-free"), "torsion_free"),
-        (("reflexive", "locally-free"), "reflexive"),
+        (("locally-free", "locally-free"), "locally_free", "exact"),
+        (("torsion-free", "torsion-free"), "torsion_free", "monte_carlo"),
+        (("reflexive", "locally-free"), "reflexive", "exact"),
     ]
-    for (a, b), level in pairs:
+    for (a, b), level, confidence in pairs:
         M = direct_sum(example_monad(a), example_monad(b))
         rep = classify(M, budget)
         assert rep.level == level, (a, b, rep.level, rep.degeneracy.note)
-        assert rep.confidence == "monte_carlo"
+        assert rep.confidence == confidence
 
 
 def test_monte_carlo_scan_method_is_recorded():
     M = direct_sum(example_monad("torsion-free"), example_monad("torsion-free"))
     rep = classify(M, DegeneracyBudget(seed=2))
-    meth = rep.degeneracy.method
-    assert meth["kind"] == "finite_field_scan"
-    assert meth["prime"] == 32003 and meth["slices"] == 50
+    assert rep.degeneracy.method == {
+        "kind": "slice_scan", "prime": 32003, "slices": 50, "level": 2,
+        "shape": [12, 24], "rank": 10, "over": "Q"}
+    assert rep.degeneracy.note.startswith("all 50 random P^2 slices meet the locus")
+    meth = classify(direct_sum(example_monad("locally-free"),
+                               example_monad("locally-free"))).degeneracy.method
+    assert meth == {"kind": "onto_rank", "prime": 32003, "slices": 50, "level": 3,
+                    "shape": [20, 32], "rank": 20, "over": "Fp:32003"}
 
 
 def test_classify_dual_of_locally_free_is_locally_free():
@@ -163,21 +170,42 @@ def test_classify_p2_monad():
     assert rep.level == "torsion_free"
 
 
-def test_budget_exhaustion_reports_unknown():
-    M = direct_sum(example_monad("locally-free"), example_monad("locally-free"))
-    rep = classify(M, DegeneracyBudget(max_enum=10))
-    assert rep.level == "coherent_only"
-    assert rep.confidence == "unknown"
-    assert rep.degeneracy.kind == "unknown"
-
-
 def test_a_budgeted_verdict_does_not_leak_into_later_calls():
     # line scans and dualization classify with the default budget when no
-    # classification is passed; an earlier budget-starved call must not count
+    # classification is passed; an earlier call's budget must not count
     M = random_monad(2, 6, 2, seed=1)
-    assert classify(M, DegeneracyBudget(max_enum=10)).display == "CoherentOnly (unknown)"
+    assert classify(M, DegeneracyBudget(prime=3)).degeneracy.method["prime"] == 3
+    assert classify(M).degeneracy.method["prime"] == 32003
     assert jumping_scan(M, 101, 20).samples == 20
     assert dualize(M).dims() == (2, 6, 2)
+
+
+def test_a_bad_certificate_prime_falls_back_to_the_rank_over_q():
+    # mod 3 the left map of this monad drops rank on a surface; over Q it
+    # is injective at every point, and the rank over Q proves it
+    M = random_monad(2, 6, 2, seed=1)
+    rep = classify(M, DegeneracyBudget(prime=3))
+    assert rep.display == "LocallyFree (exact)"
+    assert rep.degeneracy.method["over"] == "Q"
+
+
+def test_one_point_locus_is_not_a_curve_with_few_slices():
+    # lf + rf degenerates at the single point [0:0:0:1]; a random plane
+    # misses it, whatever the slice budget
+    L = direct_sum(example_monad("locally-free"), example_monad("reflexive")).alpha
+    for seed in range(5):
+        res = degeneracy_dim(L, None, DegeneracyBudget(slices=10, seed=seed))
+        assert (res.kind, res.dim, res.exact) == ("dim", 0, True), seed
+
+
+def test_a_level_is_met_only_when_every_slice_meets_the_locus():
+    # over F_3 about one plane in three passes through the point
+    # [0:0:0:1]; a single meeting slice must not read as a curve
+    L = direct_sum(example_monad("locally-free"),
+                   example_monad("reflexive")).alpha.to_field(GF(3))
+    for seed in range(20):
+        res = degeneracy_dim(L, None, DegeneracyBudget(seed=seed))
+        assert (res.kind, res.dim, res.exact) == ("dim", 0, True), seed
 
 
 def test_slice_budget_must_be_positive():
