@@ -23,9 +23,33 @@ P1 they fall into h^0 and h^1, and the sequence has one differential
 between nonzero terms, d_2 : H^1(O(-2))^v -> H^0(O)^v' at k = -1, whose
 matrix is B_t A_s (Okonek-Schneider-Spindler, ch. II); its rank is
 subtracted from both h^0 and h^1.  complex_cohomology is that one formula
-for all three n.  The Euler characteristic identity is asserted on every call, and
-twist_cohomology adds h^1(E(-1)) = v', h^2(E(-3)) = v on P2 and P3; a
-failure signals an engine defect, never a property of the input.
+for all three n.
+
+Most of those ranks are known in closed form once exactlin.onto_everywhere
+has proved a map onto at every point.  If the right map B is:
+
+    rank b_k       = v'|S_{k+1}|  for k >= v'-1   (onto_everywhere's theorem)
+    rank b*_{j-1}  = v'|S_{j-1}|  for every j     (B^T injective as a sheaf map)
+
+If A^T is, that is if the left map A is injective at every point:
+
+    rank a_k       = v|S_{k-1}|   for every k     (A injective as a sheaf map)
+    rank a*_j      = v|S_{j+1}|   for j >= v-1    (onto_everywhere's theorem)
+
+cohomology_table takes the B proof once per table, and the A^T proof only
+when the B proof holds; pencil.p1_cohomology holds both for a clean line.
+Everything else is eliminated: b_k for k < v'-1, a*_j for j < v-1, every
+left-map rank when the A^T proof fails (torsion-free and reflexive
+sheaves), every rank when the B proof fails (a bad reduction), and the P1
+d_2.  Without proofs, as in twist_cohomology, every rank is eliminated;
+tests/test_closed_forms.py compares the closed forms with that path.
+
+The Euler characteristic identity is asserted on every call, and
+twist_cohomology and cohomology_table add h^1(E(-1)) = v', h^2(E(-3)) = v
+on P2 and P3; a failure signals an engine defect, never a property of the
+input.  Where a closed form stands in for a rank, the Euler identity
+partly restates it and checks less; the comparison with the all-ranks
+path carries the rest of that check.
 """
 
 from __future__ import annotations
@@ -33,7 +57,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .errors import MonadLabError
-from .exactlin import LinearFormMatrix, compose_check, monomial_count, mult_map
+from .exactlin import (
+    LinearFormMatrix,
+    compose_check,
+    monomial_count,
+    mult_map,
+    onto_everywhere,
+)
 from .monad import SpecialMonad, dualize, invariants
 
 DEFAULT_WINDOW = (-6, 2)
@@ -50,23 +80,31 @@ def chi_line_bundle(n: int, d: int) -> int:
     raise ValueError(f"unsupported ambient dimension {n}")
 
 
-def complex_cohomology(A: LinearFormMatrix, B: LinearFormMatrix, k: int) -> tuple[int, ...]:
+def complex_cohomology(A: LinearFormMatrix, B: LinearFormMatrix, k: int,
+                       at_onto: bool = False, b_onto: bool = False) -> tuple[int, ...]:
     """(h^0, ..., h^n) of the middle cohomology of O(k-1)^v -> O(k)^w -> O(k+1)^v'.
 
     n = A.nvars - 1 is 1, 2 or 3.  Exact, provided A is injective and B
     surjective at every point and B*A = 0: the caller checks these.  Only
     the d_2 of P^1 at k = -1 is a differential between nonzero terms; the
     negativity and Euler checks catch any other engine defect.
+
+    at_onto and b_onto say that exactlin.onto_everywhere has proved A^T,
+    respectively B, onto at every point; the ranks those proofs fix are
+    then taken in closed form (module docstring).  Without proofs every
+    rank is eliminated.
     """
     n = A.nvars - 1
     v, w, vp = A.ncols, A.nrows, B.nrows
     S = lambda d: monomial_count(n + 1, d)
     j = -k - n - 1
 
-    rank_a = mult_map(A, k - 1).rank()
-    rank_b = mult_map(B, k).rank()
-    rank_at = mult_map(A.transpose(), j).rank()
-    rank_bt = mult_map(B.transpose(), j - 1).rank()
+    rank_a = v * S(k - 1) if at_onto else mult_map(A, k - 1).rank()
+    rank_b = (vp * S(k + 1) if b_onto and k >= vp - 1
+              else mult_map(B, k).rank())
+    rank_at = (v * S(j + 1) if at_onto and j >= v - 1
+               else mult_map(A.transpose(), j).rank())
+    rank_bt = vp * S(j - 1) if b_onto else mult_map(B.transpose(), j - 1).rank()
     # E_2 terms E(p, q), p in {-1, 0, 1}, q in {0, n}, placed by total degree
     # p + q.  The two left out, E(-1, 0) = ker a_k and E(1, n) = ker b*_{j-1},
     # vanish for a monad; the first can be nonzero only for k >= 1 and the
@@ -102,11 +140,21 @@ def twist_cohomology(M: SpecialMonad, k: int) -> tuple[int, ...]:
 
     The composite is re-checked here because the rank formulas silently
     assume it vanishes; the other two monad conditions stay the caller's
-    responsibility (see validate).
+    responsibility (see validate).  Every rank is eliminated: one twist
+    does not pay for the two proofs that cohomology_table takes.
     """
+    _check_composite(M)
+    return _twist_column(M, k)
+
+
+def _check_composite(M: SpecialMonad) -> None:
     if not compose_check(M.beta, M.alpha):
         raise MonadLabError("composite does not vanish; not a monad")
-    out = complex_cohomology(M.alpha, M.beta, k)
+
+
+def _twist_column(M: SpecialMonad, k: int, at_onto: bool = False,
+                  b_onto: bool = False) -> tuple[int, ...]:
+    out = complex_cohomology(M.alpha, M.beta, k, at_onto, b_onto)
     if k == -1 and out[1] != M.v_prime:
         raise MonadLabError(f"h^1(E(-1)) = {out[1]} != v' = {M.v_prime}")
     if M.ambient_n == 3 and k == -3 and out[2] != M.v:
@@ -165,10 +213,17 @@ class CohomologyTable:
 
 
 def cohomology_table(M: SpecialMonad, k_min: int, k_max: int) -> CohomologyTable:
-    """Exact table of twist cohomology on [k_min, k_max]."""
+    """Exact table of twist cohomology on [k_min, k_max].
+
+    The composite is checked and the onto_everywhere proofs are taken once
+    per table; see the module docstring for the ranks they fix.
+    """
     if k_min > k_max:
         raise ValueError("empty twist window")
-    cols = [twist_cohomology(M, k) for k in range(k_min, k_max + 1)]
+    _check_composite(M)
+    b_onto = onto_everywhere(M.beta).onto
+    at_onto = b_onto and onto_everywhere(M.alpha.transpose()).onto
+    cols = [_twist_column(M, k, at_onto, b_onto) for k in range(k_min, k_max + 1)]
     rows = [[col[p] for col in cols] for p in range(M.ambient_n + 1)]
     return CohomologyTable(M.ambient_n, k_min, k_max, rows)
 
@@ -339,6 +394,7 @@ def dual_vanishing_check(M: SpecialMonad, classification=None,
     """
     dual = dualize(M, classification)   # raises NotLocallyFreeError if refused
     k_min, k_max = window
-    values = {k: twist_cohomology(dual, k)[0] for k in range(k_min, k_max + 1)}
+    h0 = cohomology_table(dual, k_min, k_max).rows[0]
+    values = dict(zip(range(k_min, k_max + 1), h0))
     violations = [k for k, h in sorted(values.items()) if h != 0]
     return DualVanishingReport(k_min, k_max, values, violations)

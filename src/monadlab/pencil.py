@@ -162,15 +162,16 @@ def p1_cohomology(pc: PencilComplex, k: int) -> tuple[int, int]:
     """(h^0, h^1) of the restricted sheaf twisted by k; exact.
 
     The n = 1 case of cohomology.complex_cohomology, once line_status has
-    shown that the pencil is a monad on P1.  A line that is not clean
-    raises AlphaDegenerateError.
+    shown that the pencil is a monad on P1.  A clean line carries both
+    onto_everywhere proofs, so the closed-form ranks apply.  A line that
+    is not clean raises AlphaDegenerateError.
     """
     status = line_status(pc)
     if not status.clean:
         raise AlphaDegenerateError(
             f"{status.degenerate_map} map degenerates on the line; restricted "
             "cohomology is not the sheaf restriction")
-    return complex_cohomology(pc.A, pc.B, k)
+    return complex_cohomology(pc.A, pc.B, k, at_onto=True, b_onto=True)
 
 
 def dual_pencil(pc: PencilComplex) -> PencilComplex:

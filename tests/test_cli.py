@@ -280,9 +280,9 @@ def test_splitting_measures_each_twist_once(capsys, tmp_path, monkeypatch):
     calls = []
     core = pencil.complex_cohomology
 
-    def counting(A, B, k):
+    def counting(A, B, k, *args, **kwargs):
         calls.append(k)
-        return core(A, B, k)
+        return core(A, B, k, *args, **kwargs)
 
     monkeypatch.setattr(pencil, "complex_cohomology", counting)
     path = tmp_path / "m.json"
