@@ -61,7 +61,6 @@ from .lines_scan import (
 from .monad import (
     ChernData,
     SpecialMonad,
-    ValidationBudget,
     ValidationReport,
     decode,
     direct_sum,
@@ -91,7 +90,6 @@ from .pointwise import (
     DegeneracyResult,
     classify,
     degeneracy_dim,
-    evaluate,
 )
 
 __version__ = "0.1.0"

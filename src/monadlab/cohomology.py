@@ -221,8 +221,8 @@ def cohomology_table(M: SpecialMonad, k_min: int, k_max: int) -> CohomologyTable
     if k_min > k_max:
         raise ValueError("empty twist window")
     _check_composite(M)
-    b_onto = onto_everywhere(M.beta).onto
-    at_onto = b_onto and onto_everywhere(M.alpha.transpose()).onto
+    b_onto = onto_everywhere(M.beta).full
+    at_onto = b_onto and onto_everywhere(M.alpha.transpose()).full
     cols = [_twist_column(M, k, at_onto, b_onto) for k in range(k_min, k_max + 1)]
     rows = [[col[p] for col in cols] for p in range(M.ambient_n + 1)]
     return CohomologyTable(M.ambient_n, k_min, k_max, rows)

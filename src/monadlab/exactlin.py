@@ -12,8 +12,8 @@ ordinary Gaussian elimination over F_p.
 The module also provides monomial bases of the graded pieces of a
 polynomial ring (graded-lex, variable 0 highest), matrices of linear
 forms together with the multiplication maps they induce on graded pieces,
-and onto_everywhere, which decides by one such rank whether a matrix of
-linear forms is onto at every point.
+and the two one-rank tests built on them: onto_everywhere (onto at every
+point) and generically_injective (injective as a sheaf map).
 Matrices are dense; the intended scale is a few thousand rows at most.
 """
 
@@ -507,11 +507,13 @@ class LinearFormMatrix:
         return [self.coeffs[t].data[i][j] for t in range(self.nvars)]
 
     def at(self, point) -> DenseMatrix:
-        """Evaluate at a point: sum_t point[t] * coeffs[t]."""
+        """Evaluate at a point, not all coordinates 0: sum_t point[t] * coeffs[t]."""
         if len(point) != self.nvars:
             raise ShapeMismatchError(f"point needs {self.nvars} coordinates")
         f = self.field
         pt = [f.coerce(x) for x in point]
+        if not any(pt):
+            raise ValueError("cannot evaluate at the zero vector")
         data = [[0] * self.ncols for _ in range(self.nrows)]
         for t, c in enumerate(pt):
             if c == 0:
@@ -601,22 +603,22 @@ def mult_map(L: LinearFormMatrix, d: int) -> DenseMatrix:
 
 
 @dataclass(frozen=True)
-class OntoProof:
-    """The one rank that decides onto_everywhere, and where it was taken."""
+class RankProof:
+    """The one rank that decides onto_everywhere or generically_injective."""
 
-    onto: bool
+    full: bool           # the rank reaches the target
     rank: int
-    target: int          # b * |S_b|, full row rank
+    target: int          # the full rank: rows of an onto map, columns of an injective one
     shape: tuple[int, int]
     over: str            # field of the deciding rank: "Q" or "Fp:<p>"
 
     def __str__(self):
-        rel = "=" if self.onto else "<"
+        rel = "=" if self.full else "<"
         return (f"rank {self.rank} {rel} {self.target} of the "
                 f"{self.shape[0]}x{self.shape[1]} multiplication map over {self.over}")
 
 
-def onto_everywhere(P: LinearFormMatrix, prime: int = DEFAULT_PRIME) -> OntoProof:
+def onto_everywhere(P: LinearFormMatrix, prime: int = DEFAULT_PRIME) -> RankProof:
     """Decide whether P : O^a -> O(1)^b on P^n is onto at every point.
 
     The points are those over the algebraic closure, and one rank decides,
@@ -640,31 +642,73 @@ def onto_everywhere(P: LinearFormMatrix, prime: int = DEFAULT_PRIME) -> OntoProo
     field extension, so the rank over the base field decides the statement
     over its algebraic closure.
 
+    Over Q the rank is taken mod `prime` first (_rank_proof).  A map
+    O(-1)^v -> O^w is injective at every point iff its transpose
+    O^w -> O(1)^v is onto there, so the same test decides left maps.
+    """
+    b = P.nrows
+    return _rank_proof(P, b - 1, b * monomial_count(P.nvars, b), prime)
+
+
+def generically_injective(P: LinearFormMatrix, prime: int = DEFAULT_PRIME) -> RankProof:
+    """Decide whether P : O(-1)^v -> O^w on P^n is injective as a sheaf map.
+
+    That is, injective at a general point, or of generic rank v; one rank
+    decides, for any number n + 1 of variables: P is injective iff it is
+    injective on sections of degree v-1, that is iff
+    rank mult_map(P, v-1) = v * |S_{v-1}|.
+
+    If P is injective, it has a left inverse over the fraction field of the
+    polynomial ring, so it is injective on the sections of every degree.
+    If P is not injective, its generic rank r is < v.  Take r+1 columns of
+    rank r and r rows with a nonzero r x r minor in them.  Those rows span
+    the rows of the r+1 columns over the fraction field, so by Cramer's
+    rule the r+1 signed r x r minors of the r x (r+1) block, one of them
+    nonzero, form a kernel vector of P with entries of degree r <= v-1.
+    Multiplied by x_0^(v-1-r) it is a nonzero kernel vector of degree v-1.
+    Rank does not change under field extension, so the verdict holds over
+    the algebraic closure, and no field elements are needed: it works over
+    F_2 as well.  Over Q the rank is taken mod `prime` first (_rank_proof).
+    """
+    v = P.ncols
+    return _rank_proof(P, v - 1, v * monomial_count(P.nvars, v - 1), prime)
+
+
+def _rank_proof(P: LinearFormMatrix, d: int, target: int, prime: int) -> RankProof:
+    """The rank of mult_map(P, d) against its full value `target`.
+
     Over Q the rank is first taken mod `prime`: the reduction can only
     lower a rank, so full rank mod p proves full rank over Q.  The rank
     over Q is computed only when the rank mod p is deficient or a
-    denominator of P vanishes mod p.  A map O(-1)^v -> O^w is injective at
-    every point iff its transpose O^w -> O(1)^v is onto there, so the same
-    test decides left maps.
+    denominator of P vanishes mod p.
     """
-    b = P.nrows
-    target = b * monomial_count(P.nvars, b)
     if P.field.kind == "Q":
         try:
             Pp = P.to_field(PrimeField(prime))
         except ZeroDivisionError:
             Pp = None
         if Pp is not None:
-            proof = _onto_proof(Pp, target)
-            if proof.onto:
+            proof = _rank_proof(Pp, d, target, prime)
+            if proof.full:
                 return proof
-    return _onto_proof(P, target)
-
-
-def _onto_proof(P: LinearFormMatrix, target: int) -> OntoProof:
-    m = mult_map(P, P.nrows - 1)
+    m = mult_map(P, d)
     r = m.rank()
-    return OntoProof(r == target, r, target, (m.nrows, m.ncols), P.field.name)
+    return RankProof(r == target, r, target, (m.nrows, m.ncols), P.field.name)
+
+
+def linear_locus(L: LinearFormMatrix) -> list[list]:
+    """Common zero locus of the entries of a single row or column of L.
+
+    A basis of the kernel of the coefficient matrix of those linear forms:
+    n + 1 - len(basis) is that matrix's rank, and the locus is the linear
+    subspace the basis spans, empty when the basis is.
+    """
+    forms = [L.entry_form(i, j) for i in range(L.nrows) for j in range(L.ncols)]
+    coeff = DenseMatrix(L.field, len(forms), L.nvars, forms)
+    if coeff.rank() == L.nvars:      # a rank is cheaper than a kernel
+        return []
+    kern = coeff.right_kernel()
+    return [[kern.data[i][c] for i in range(L.nvars)] for c in range(kern.ncols)]
 
 
 def compose_check(B: LinearFormMatrix, A: LinearFormMatrix) -> bool:

@@ -32,7 +32,7 @@ from .exactlin import (
     DenseMatrix,
     LinearFormMatrix,
     compose_check,
-    mult_map,
+    generically_injective,
     onto_everywhere,
 )
 from .monad import SpecialMonad
@@ -134,22 +134,20 @@ def line_status(pc: PencilComplex) -> LineStatus:
     exactlin.onto_everywhere: the right map O^w -> O(1)^v' must be onto at
     every point, and the left map O(-1)^v -> O^w injective at every point,
     that is its transpose O^w -> O(1)^v onto.  A failing left map drops
-    rank on the whole line iff it is not injective on sections in twist v,
-    one more rank: a generically injective map is injective on sections in
-    every twist, while a nonzero kernel is a bundle inside O(-1)^v whose
-    image lies in O^w, so its degree is >= -v and it has sections in twist
-    v.  The verdict is cached on the pencil.
+    rank on the whole line iff it is not injective as a sheaf map, one more
+    rank (exactlin.generically_injective).  The verdict is cached on the
+    pencil.
     """
     if pc._status is not None:
         return pc._status
     v = pc.v
-    if not onto_everywhere(pc.A.transpose()).onto:
-        if mult_map(pc.A, v - 1).rank() < v * v:
+    if not onto_everywhere(pc.A.transpose()).full:
+        if not generically_injective(pc.A).full:
             note = "left map drops rank identically on the line"
         else:
             note = "left map drops rank at a point of the line"
         status = LineStatus(False, note, "left")
-    elif not onto_everywhere(pc.B).onto:
+    elif not onto_everywhere(pc.B).full:
         status = LineStatus(False, "right map drops rank at a point of the line",
                             "right")
     else:

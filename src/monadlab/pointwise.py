@@ -1,4 +1,4 @@
-"""Localized evaluation and regularity classification.
+"""Regularity classification from the degeneracy locus of the left map.
 
 The cohomology sheaf of a validated monad is classified by the dimension
 of the locus where the left map drops below full column rank:
@@ -26,11 +26,11 @@ from dataclasses import dataclass, field as dc_field
 
 from . import monad as monad_mod
 from ._seeds import rng_for
-from .errors import ShapeMismatchError
 from .exactlin import (
     DEFAULT_PRIME,
     DenseMatrix,
     LinearFormMatrix,
+    linear_locus,
     onto_everywhere,
 )
 
@@ -42,16 +42,6 @@ _DISPLAY = {
     "torsion_free": "TorsionFree",
     "coherent_only": "CoherentOnly",
 }
-
-
-def evaluate(L: LinearFormMatrix, point) -> DenseMatrix:
-    """Evaluate a matrix of linear forms at a point (not all coordinates 0)."""
-    if len(point) != L.nvars:
-        raise ShapeMismatchError(f"point needs {L.nvars} coordinates")
-    pt = [L.field.coerce(x) for x in point]
-    if all(x == 0 for x in pt):
-        raise ValueError("cannot evaluate at the zero vector")
-    return L.at(pt)
 
 
 @dataclass(frozen=True)
@@ -87,26 +77,19 @@ class DegeneracyResult:
         }
 
 
-def _fmt_vec(field, vec):
-    return [field.fmt(x) for x in vec]
-
-
 def _exact_linear(L: LinearFormMatrix) -> DegeneracyResult:
     """Single-column (or row) case: the locus is a projective linear subspace."""
     n = L.nvars - 1
-    forms = [L.entry_form(i, 0) for i in range(L.nrows)]
-    coeff = DenseMatrix(L.field, len(forms), L.nvars,
-                        [[L.field.coerce(c) for c in f] for f in forms])
-    r = coeff.rank()
+    basis = linear_locus(L)
+    r = n + 1 - len(basis)
     method = {"kind": "exact_linear"}
     if r == n + 1:
         return DegeneracyResult("empty", None, method)
-    kern = coeff.right_kernel()
-    basis = [[kern.data[i][c] for i in range(n + 1)] for c in range(kern.ncols)]
+    fmt = monad_mod.fmt_point
     return DegeneracyResult(
         "dim", n - r, method,
-        witness=_fmt_vec(L.field, basis[0]),
-        locus_basis=[_fmt_vec(L.field, b) for b in basis],
+        witness=fmt(L.field, basis[0]),
+        locus_basis=[fmt(L.field, b) for b in basis],
         note=f"common zero locus of {L.nrows} linear forms, coefficient rank {r}",
     )
 
@@ -125,7 +108,7 @@ def _slice(T: LinearFormMatrix, span) -> LinearFormMatrix:
                             [T.at(pt).transpose() for pt in span])
 
 
-def degeneracy_dim(L: LinearFormMatrix, full_rank: int | None = None,
+def degeneracy_dim(L: LinearFormMatrix,
                    budget: DegeneracyBudget | None = None) -> DegeneracyResult:
     """Dimension of the locus where L drops below full (short-side) rank.
 
@@ -142,8 +125,6 @@ def degeneracy_dim(L: LinearFormMatrix, full_rank: int | None = None,
         raise ValueError(f"need at least one slice per level, got {budget.slices}")
     T = L if L.nrows >= L.ncols else L.transpose()
     full = T.ncols
-    if full_rank is not None and full_rank != full:
-        raise ValueError(f"full_rank must be the short side {full}, got {full_rank}")
     if full == 0:
         return DegeneracyResult("empty", None, {"kind": "exact_linear"},
                                 note="no rank condition for an empty matrix")
@@ -161,7 +142,7 @@ def degeneracy_dim(L: LinearFormMatrix, full_rank: int | None = None,
             else:
                 S = _slice(T, _random_span(rng, field, n + 1, e + 1))
             proof = onto_everywhere(S, prime)
-            if proof.onto:
+            if proof.full:
                 break
         else:
             method = _method("onto_rank" if e == n else "slice_scan",
@@ -211,7 +192,7 @@ def classify(M, budget: DegeneracyBudget | None = None) -> ClassificationReport:
     finite locus reports torsion-free.
     """
     n = M.ambient_n
-    deg = degeneracy_dim(M.alpha, None, budget)
+    deg = degeneracy_dim(M.alpha, budget)
     confidence = "exact" if deg.exact else "monte_carlo"
     if deg.kind == "empty":
         level = "locally_free"

@@ -11,3 +11,18 @@ def projective_points(p: int, nvars: int):
         tail = nvars - lead - 1
         for rest in itertools.product(range(p), repeat=tail):
             yield [0] * lead + [1] + list(rest)
+
+
+def grid_injective(L) -> bool:
+    """Whether a matrix of linear forms has full column rank at some point.
+
+    Every maximal minor has degree <= v = L.ncols in each variable, so it
+    vanishes identically iff it vanishes on the grid {0..v}^nvars; the
+    grid's coordinates must stay distinct in the field, so over F_p it
+    needs p > v.
+    """
+    v = L.ncols
+    if L.field.kind == "Fp" and L.field.p <= v:
+        raise ValueError(f"the grid needs p > {v}")
+    return any(L.at(list(pt)).rank() == v
+               for pt in itertools.product(range(v + 1), repeat=L.nvars) if any(pt))

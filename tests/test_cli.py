@@ -72,6 +72,17 @@ def test_validate_good_and_bad(capsys, tmp_path, lf_path):
     assert "0:0:0:1" in err
 
 
+def test_validate_over_f2_without_a_witness_point(capsys, tmp_path):
+    from monadlab import encode
+    from test_monad import small_field_monad
+    path = tmp_path / "f2.json"
+    path.write_bytes(encode(small_field_monad()))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 0 and err == ""
+    assert out == ("composition_zero: ok [exact]\nbeta_surjective: ok [exact]\n"
+                   "alpha_injective: ok [exact]\nverdict: valid monad\n")
+
+
 def test_corrupted_file_exits_2_with_position(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"ambient_n": 3, "field": "Q",')

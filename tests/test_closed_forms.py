@@ -74,7 +74,7 @@ def test_examples_and_their_pairwise_sums():
     monads = {name: example_monad(name) for name in EXAMPLES}
     # the left-map proof fails on the torsion-free and reflexive examples
     for name in ("torsion-free", "reflexive"):
-        assert not onto_everywhere(monads[name].alpha.transpose()).onto
+        assert not onto_everywhere(monads[name].alpha.transpose()).full
     for M in monads.values():
         assert_table_matches(M, -6, 2)
     for a, b in itertools.combinations_with_replacement(EXAMPLES, 2):
@@ -103,7 +103,7 @@ def test_bad_reduction_keeps_every_rank():
     # applies; the all-ranks path stops at an Euler mismatch, and so must
     # the table
     M = to_prime_field(random_monad(2, 6, 2, seed=3), 7)
-    assert not onto_everywhere(M.beta).onto
+    assert not onto_everywhere(M.beta).full
     assert_table_matches(M, -6, 2)
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from monadlab.errors import ShapeMismatchError
 from monadlab.monad import random_monad, to_prime_field
-from oracles import projective_points
+from oracles import grid_injective, projective_points
 from monadlab.exactlin import (
     GF,
     QQ,
@@ -16,6 +16,7 @@ from monadlab.exactlin import (
     LinearFormMatrix,
     compose_check,
     forms_matrix,
+    generically_injective,
     kernel_basis,
     monomial_basis,
     monomial_count,
@@ -138,14 +139,13 @@ def _left_verdict(field, rows):
     """Verdict on a line of a left map O(-1)^v -> O^w given by its rows.
 
     "onto" when its transpose is onto at every point (injective at every
-    point), "identically" when it is not injective on sections in twist v
+    point), "identically" when it is not injective as a sheaf map
     (degenerate on the whole line), "point" otherwise.
     """
     A = forms_matrix(field, 2, rows)
-    v = A.ncols
-    if onto_everywhere(A.transpose()).onto:
+    if onto_everywhere(A.transpose()).full:
         return "onto"
-    return "identically" if mult_map(A, v - 1).rank() < v * v else "point"
+    return "point" if generically_injective(A).full else "identically"
 
 
 def test_onto_everywhere_known_answers():
@@ -165,36 +165,36 @@ def test_onto_everywhere_known_answers():
     assert _left_verdict(GF(2), [["x0", "x1"], ["x1", "x0"]]) == "point"
     assert _left_verdict(GF(2), rows) == "onto"
     # the right map of a restricted monad, and an empty codomain
-    assert onto_everywhere(forms_matrix(QQ, 2, [["x1", "x0", "0"]])).onto
-    assert not onto_everywhere(forms_matrix(QQ, 2, [["x0", "0", "0"]])).onto
-    assert onto_everywhere(LinearFormMatrix.zeros(QQ, 0, 3, 2)).onto
+    assert onto_everywhere(forms_matrix(QQ, 2, [["x1", "x0", "0"]])).full
+    assert not onto_everywhere(forms_matrix(QQ, 2, [["x0", "0", "0"]])).full
+    assert onto_everywhere(LinearFormMatrix.zeros(QQ, 0, 3, 2)).full
 
     # on P2: one row is onto iff its forms have no common zero
-    assert onto_everywhere(forms_matrix(QQ, 3, [["x", "y", "z"]])).onto
-    assert not onto_everywhere(forms_matrix(QQ, 3, [["x", "y", "0"]])).onto
+    assert onto_everywhere(forms_matrix(QQ, 3, [["x", "y", "z"]])).full
+    assert not onto_everywhere(forms_matrix(QQ, 3, [["x", "y", "0"]])).full
     # minors x^2, xy, xz, y^2 - xz, yz, z^2 have no common zero
     proof = onto_everywhere(forms_matrix(QQ, 3, [["x", "y", "z", "0"],
                                                  ["0", "x", "y", "z"]]))
-    assert proof.onto and (proof.rank, proof.target) == (12, 12)
+    assert proof.full and (proof.rank, proof.target) == (12, 12)
     assert proof.shape == (12, 12) and proof.over == "Fp:32003"
     # every 2x2 minor vanishes at [1:1:1]
     assert not onto_everywhere(forms_matrix(QQ, 3, [["x", "y", "z"],
-                                                    ["y", "z", "x"]])).onto
+                                                    ["y", "z", "x"]])).full
     # a 2x3 matrix on P2 drops rank on a finite set, three points counted
     # with multiplicity, in any field; over F_7 these lie off P2(F_7)
     rows = [["-y", "2*x", "x-z"], ["2*x", "z", "3*y"]]
     f7 = forms_matrix(GF(7), 3, rows)
     assert all(f7.at(pt).rank() == 2 for pt in projective_points(7, 3))
-    assert not onto_everywhere(f7).onto
+    assert not onto_everywhere(f7).full
     f5 = forms_matrix(GF(5), 3, rows)
     assert [pt for pt in projective_points(5, 3) if f5.at(pt).rank() < 2] == [[1, 3, 2]]
-    assert not onto_everywhere(f5).onto
+    assert not onto_everywhere(f5).full
 
     # over Q the rank mod p is only a lower bound: a deficient rank, or a
     # denominator that vanishes mod p, falls back to the rank over Q
     for text in ("5*x", "1/5*x"):
         proof = onto_everywhere(forms_matrix(QQ, 3, [[text, "y", "z"]]), prime=5)
-        assert proof.onto and proof.over == "Q"
+        assert proof.full and proof.over == "Q"
         assert onto_everywhere(forms_matrix(QQ, 3, [[text, "y", "z"]])).over == "Fp:32003"
 
 
@@ -228,8 +228,8 @@ def test_onto_everywhere_never_misses_an_enumerated_drop():
         proof = onto_everywhere(P)
         if drops:
             with_drops += 1
-            assert not proof.onto, (k, drops[0], proof)
-        passed += proof.onto
+            assert not proof.full, (k, drops[0], proof)
+        passed += proof.full
     assert all(_rank_drops(P) for P in cases[:3])
     assert with_drops >= 20 and passed >= 20, (with_drops, passed)
 
@@ -250,6 +250,73 @@ def test_parse_linear_form():
     assert parse_linear_form("0", 3) == [0, 0, 0]
     with pytest.raises(ValueError):
         parse_linear_form("q", 4)
+
+
+def test_generically_injective_known_answers():
+    # kernels of degree exactly v-1: (y, -x) and (y^2, -xy, x^2); they are
+    # invisible one degree lower
+    for rows in ([["x", "y"], ["2*x", "2*y"], ["0", "0"]],
+                 [["x", "y", "0"], ["0", "x", "y"], ["x", "x+y", "y"]]):
+        P = forms_matrix(QQ, 4, rows)
+        v = P.ncols
+        proof = generically_injective(P)
+        assert not proof.full and proof.over == "Q", proof
+        assert proof.target == v * monomial_count(4, v - 1) == proof.shape[1]
+        assert mult_map(P, v - 2).rank() == v * monomial_count(4, v - 2)
+    # xy(x+y) vanishes at every point of P3(F_2), but not identically
+    P = forms_matrix(GF(2), 4, [["x", "0", "0"], ["0", "y", "0"], ["0", "0", "x+y"]])
+    assert all(P.at(pt).rank() < 3 for pt in projective_points(2, 4))
+    assert str(generically_injective(P)) == \
+        "rank 30 = 30 of the 60x30 multiplication map over Fp:2"
+    # an empty left map is injective
+    assert generically_injective(LinearFormMatrix.zeros(QQ, 3, 0, 4)).full
+    # over Q a deficient rank mod p, or a denominator that vanishes mod p,
+    # falls back to the rank over Q
+    for text in ("5*x", "1/5*x"):
+        P = forms_matrix(QQ, 3, [[text], ["0"]])
+        proof = generically_injective(P, prime=5)
+        assert proof.full and proof.over == "Q"
+        assert generically_injective(P).over == "Fp:32003"
+
+
+def _low_rank_forms(rng, field, w, v, r, nvars):
+    """w x v linear forms whose rows are constant combinations of r rows."""
+    base = [[[rng.randint(-3, 3) for _ in range(nvars)] for _ in range(v)]
+            for _ in range(r)]
+    entries = []
+    for _ in range(w):
+        c = [rng.randint(-2, 2) for _ in range(r)]
+        entries.append([[sum(c[k] * base[k][j][t] for k in range(r)) for t in range(nvars)]
+                        for j in range(v)])
+    return LinearFormMatrix.from_entry_forms(field, nvars, entries)
+
+
+def test_generically_injective_agrees_with_the_grid():
+    # the grid finds a full-rank point iff one exists (p > v); kernels of
+    # every degree up to v-1 come from low-rank matrices
+    rng = random.Random(20261018)
+    counts = {True: 0, False: 0, "kernel only in degree v-1": 0}
+    for field in (QQ, GF(5), GF(7)):
+        for nvars in (2, 3, 4):
+            for _ in range(12):
+                v = rng.randint(1, 3)
+                w = v + rng.randint(0, 2)
+                if rng.random() < 0.5:
+                    entries = [[[rng.randint(-3, 3) if rng.random() < 0.3 else 0
+                                 for _ in range(nvars)] for _ in range(v)]
+                               for _ in range(w)]
+                    P = LinearFormMatrix.from_entry_forms(field, nvars, entries)
+                else:
+                    P = _low_rank_forms(rng, field, w, v, rng.randint(0, v - 1), nvars)
+                want = grid_injective(P)
+                proof = generically_injective(P)
+                assert proof.full == want, (field, P.coeffs, proof)
+                counts[want] += 1
+                if not want and v >= 2 and \
+                        mult_map(P, v - 2).rank() == v * monomial_count(nvars, v - 2):
+                    counts["kernel only in degree v-1"] += 1
+    assert counts[True] >= 30 and counts[False] >= 30, counts
+    assert counts["kernel only in degree v-1"] >= 5, counts
 
 
 def test_prime_field_arithmetic():

@@ -185,7 +185,7 @@ def _verdict(P):
     injective on sections in twist b.
     """
     b = P.nrows
-    if onto_everywhere(P).onto:
+    if onto_everywhere(P).full:
         return "c"
     return "z" if mult_map(P.transpose(), b - 1).rank() < b * b else "f"
 
@@ -211,6 +211,6 @@ def test_line_verdicts_reproduce_the_minor_gcds():
 def test_degeneracy_slices_reproduce_the_minor_gcds():
     got = {}
     for name, L, budget in degeneracy_cases():
-        res = degeneracy_dim(L, None, budget)
+        res = degeneracy_dim(L, budget)
         got[name] = (_digest(res.to_json_obj()), res.kind, res.dim, res.note)
     assert got == GOLDEN_DEGENERACY

@@ -77,6 +77,12 @@ def test_validate_catches_common_zero_of_beta():
     assert not rep.beta_surjective.passed
     assert rep.beta_surjective.witness == ["0", "0", "0", "1"]
     assert not rep.overall
+    # a row of no forms vanishes everywhere
+    empty = SpecialMonad(3, LinearFormMatrix.zeros(QQ, 0, 0, 4),
+                         LinearFormMatrix.zeros(QQ, 1, 0, 4))
+    beta = validate(empty).beta_surjective
+    assert not beta.passed and beta.witness == ["1", "0", "0", "0"]
+    assert "dimension 3" in beta.detail
 
 
 def test_beta_rank_drop_over_a_prime_field_names_the_field():
@@ -110,6 +116,23 @@ def test_validate_catches_degenerate_alpha():
     rep = validate(M)
     assert not rep.alpha_injective.passed
     assert rep.alpha_injective.confidence == "exact"
+
+
+def small_field_monad():
+    """diag(x, y, x+y) over F_2: its determinant xy(x+y) vanishes at every
+    point of P3(F_2), but not identically, so no F_2 point can witness its
+    injectivity."""
+    alpha = forms_matrix(GF(2), 4, [["x", "0", "0"], ["0", "y", "0"], ["0", "0", "x+y"]])
+    return SpecialMonad(3, alpha, LinearFormMatrix.zeros(GF(2), 0, 3, 4))
+
+
+def test_validate_decides_injectivity_over_a_small_field():
+    rep = validate(small_field_monad())
+    assert rep.overall
+    check = rep.alpha_injective
+    assert check.passed and check.confidence == "exact"
+    assert "rank 30 = 30 of the 60x30 multiplication map over Fp:2" in check.detail
+    assert check.witness is None
 
 
 def test_validate_flags_rank_zero():

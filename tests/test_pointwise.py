@@ -10,7 +10,6 @@ from monadlab import (
     degeneracy_dim,
     direct_sum,
     dualize,
-    evaluate,
     example_monad,
     forms_matrix,
     jumping_scan,
@@ -22,16 +21,19 @@ from monadlab import (
 
 def test_evaluate_localizes_the_maps():
     tf = example_monad("torsion-free")
-    m = evaluate(tf.alpha, [1, 0, 0, 0])
+    m = tf.alpha.at([1, 0, 0, 0])
     assert [row[0] for row in m.data] == [1, 0, 0, 0]
     assert m.rank() == 1
-    m = evaluate(tf.alpha, [0, 0, 1, 0])
+    m = tf.alpha.at([0, 0, 1, 0])
     assert m.is_zero() and m.rank() == 0
     lf = example_monad("locally-free")
     for pt in ([1, 0, 0, 0], [1, 2, 3, 4], [0, 0, 0, 5]):
-        assert evaluate(lf.beta, pt).rank() == 1
+        assert lf.beta.at(pt).rank() == 1
     with pytest.raises(ValueError):
-        evaluate(lf.beta, [0, 0, 0, 0])
+        lf.beta.at([0, 0, 0, 0])
+    # zero after coercion is zero too
+    with pytest.raises(ValueError):
+        lf.beta.to_field(GF(5)).at([5, 0, 10, 0])
 
 
 def test_degeneracy_exact_linear_cases():
@@ -61,13 +63,6 @@ def test_degeneracy_single_column_formula():
             assert res.kind == "empty"
         else:
             assert res.dim == 3 - coeff_rank
-
-
-def test_degeneracy_full_rank_argument_is_checked():
-    lf = example_monad("locally-free")
-    with pytest.raises(ValueError):
-        degeneracy_dim(lf.alpha, full_rank=2)
-    assert degeneracy_dim(lf.alpha, full_rank=1).kind == "empty"
 
 
 def test_classification_of_the_three_examples():
@@ -194,7 +189,7 @@ def test_one_point_locus_is_not_a_curve_with_few_slices():
     # misses it, whatever the slice budget
     L = direct_sum(example_monad("locally-free"), example_monad("reflexive")).alpha
     for seed in range(5):
-        res = degeneracy_dim(L, None, DegeneracyBudget(slices=10, seed=seed))
+        res = degeneracy_dim(L, DegeneracyBudget(slices=10, seed=seed))
         assert (res.kind, res.dim, res.exact) == ("dim", 0, True), seed
 
 
@@ -204,7 +199,7 @@ def test_a_level_is_met_only_when_every_slice_meets_the_locus():
     L = direct_sum(example_monad("locally-free"),
                    example_monad("reflexive")).alpha.to_field(GF(3))
     for seed in range(20):
-        res = degeneracy_dim(L, None, DegeneracyBudget(seed=seed))
+        res = degeneracy_dim(L, DegeneracyBudget(seed=seed))
         assert (res.kind, res.dim, res.exact) == ("dim", 0, True), seed
 
 

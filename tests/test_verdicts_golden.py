@@ -10,8 +10,9 @@ reduced right map is not onto at some point, are validated only.
 
 Per case: the validate pass flags of (composition, beta, alpha) and their
 confidences, then the classify level, locus kind, locus dimension and
-confidence.  The pass flags, level, kind and dimension must match; a
-confidence may only get stronger.  The exceptions are the four entries of
+confidence.  The pass flags, level, kind and dimension must match; every
+validate check must now be exact, and a classify confidence may only get
+stronger.  The exceptions are the four entries of
 CORRECTED, where the sampling engines reported a locally-free sheaf that
 is not one.
 
@@ -192,12 +193,12 @@ def test_verdicts_match_the_sampling_engines():
             continue
         flags, confs, level, kind, dim, conf = row
         assert (flags, level, kind, dim) == (want[0],) + want[2:5], (name, row)
-        assert _no_weaker(confs, want[1]), (name, row)
+        assert confs == "eee", (name, row)
         assert conf is None or _no_weaker([conf], [want[5]]), (name, row)
     for name, M, _ in cases:
         if name in CORRECTED:
             proof = onto_everywhere(M.alpha.transpose())
-            assert not proof.onto and proof.over == "Q", (name, proof)
+            assert not proof.full and proof.over == "Q", (name, proof)
             # no line bundle O(c1), and no rank-2 bundle, has these Chern data
             inv = invariants(M)
             if inv.rank == 1:
