@@ -99,6 +99,8 @@ class PrimeField:
         self.name = f"Fp:{p}"
 
     def coerce(self, x) -> int:
+        if type(x) is int:
+            return x % self.p
         if isinstance(x, Fraction):
             den = x.denominator % self.p
             if den == 0:

@@ -5,10 +5,43 @@ desk scale is to sample lines over finite fields and count.  Everything
 here is seeded: line i of a scan is drawn from hash(seed, i), so serial
 and parallel runs agree and reports are byte-identical across machines.
 
-Every scan splits its lines through one path, _line_splitting.  A line
-where either map of the monad drops rank somewhere (pencil.line_status)
-is counted as degenerate, so a prime where the reduction is not a monad
-at some points only loses the lines through those points.
+Every scan splits its lines through one path, _ScanContext.split, set up
+once per scan on the scanned monad (alpha, beta).  Write alpha_i, beta_i
+for the coefficient matrices of x_i.
+
+- The composite beta alpha is checked once (exactlin.compose_check): it
+  vanishes iff beta_i alpha_i = 0 for every i and
+  beta_i alpha_j + beta_j alpha_i = 0 for every i < j.
+- Two certificates are taken once (exactlin.onto_everywhere): beta is onto
+  at every point of P^n, and alpha^T is onto at every point, that is alpha
+  is injective at every point.  Both hold over the algebraic closure, so
+  they prove every line clean, and no line is checked on its own.  If
+  either fails (a bad reduction, or a sheaf that is not locally free),
+  every line is restricted and checked by pencil.line_status: a line
+  where either map drops rank somewhere is counted as degenerate, so a
+  prime where the reduction is not a monad at some points only loses the
+  lines through those points.
+- When c1 = 0 (v = v'), a clean line L through the points p0, p1 restricts
+  to a monad on P1 whose one differential at twist -1 is
+  J(L) = beta(p1) alpha(p0) (cohomology.complex_cohomology), so
+  h^0(E|_L(-1)) = v - rank J(L).  The summand degrees a_i sum to 0, so
+  h^0(E|_L(-1)) = sum max(0, a_i) vanishes iff the splitting is trivial:
+  L jumps iff rank J(L) < v, in every rank (Barth 1977, Math. Ann. 226;
+  Okonek-Schneider-Spindler, ch. II).  J(L) is linear in the Plucker
+  coordinates pi_ij = p0_i p1_j - p0_j p1_i of L (Line.minors):
+
+      beta(p1) alpha(p0) = sum_{i,j} p1_j p0_i beta_j alpha_i
+                         = sum_{i<j} (p0_i p1_j - p0_j p1_i) beta_j alpha_i
+                         = sum_{i<j} pi_ij beta_j alpha_i,
+
+  because the terms i = j vanish by beta_i alpha_i = 0, and the term
+  p1_i p0_j beta_i alpha_j of each pair i < j equals
+  -p1_i p0_j beta_j alpha_i by beta_i alpha_j + beta_j alpha_i = 0.  The
+  matrices beta_j alpha_i are formed once per scan (six on P3, three on
+  P2), and each line costs one v x v rank.
+- Only a line where J(L) drops rank, and every line when c1 != 0, is
+  restricted and split by pencil.splitting_type, which re-verifies the
+  splitting against every twist it measures.
 
 "Certified" is reserved for exact positive witnesses over Q (a trivial
 splitting computed in exact arithmetic); every negative or statistical
@@ -19,13 +52,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from itertools import combinations
+from operator import mul
 
 from . import pointwise
 from ._seeds import rng_for
 from .errors import MonadLabError, NotLocallyFreeError
-from .exactlin import QQ, PrimeField
+from .exactlin import QQ, DenseMatrix, PrimeField, compose_check, onto_everywhere
 from .monad import COEFF_BOUND, SpecialMonad, invariants, to_prime_field
-from .pencil import Line, line_status, restrict, splitting_type
+from .pencil import Line, check_line, line_status, restrict, splitting_type
 
 MAX_SAMPLES = 10 ** 6
 WITNESS_CAP = 32
@@ -62,24 +97,49 @@ def _check_samples(samples: int):
         raise ValueError("need at least one sample")
 
 
-def _line_splitting(M: SpecialMonad, line: Line):
-    """(status, splitting parts or None) for one line.
+class _ScanContext:
+    """The per-scan part of splitting lines of one monad M (module docstring).
 
-    For c1 = 0 the parts a_i sum to 0, so h^0(E|_L(-1)) = sum max(0, a_i)
-    vanishes iff the splitting is trivial.  At twist -1 the only term of
-    cohomology.complex_cohomology on P1 that can contribute to h^0 is the
-    kernel of its one differential d_2 = B_t A_s : k^v -> k^v', so
-    h^0(E|_L(-1)) = v - rank(B_t A_s): one v x v rank settles a line that
-    does not jump, in every rank, without the four empty multiplication
-    maps of a p1_cohomology call.  The other lines, and every line when
-    c1 != 0, get the full reconstruction.
+    split(line) returns (status, splitting parts or None) for a line of M.
     """
-    pc = restrict(M, line)
-    if not line_status(pc).clean:
-        return ("degenerate", None)
-    if pc.c1 == 0 and pc.B.coeffs[1].matmul(pc.A.coeffs[0]).rank() == pc.v:
-        return ("clean", (0,) * pc.rank)
-    return ("clean", splitting_type(pc).parts)
+
+    __slots__ = ("M", "rank", "clean_everywhere", "jump_cells")
+
+    def __init__(self, M: SpecialMonad):
+        self.M = M
+        self.rank = M.w - M.v - M.v_prime
+        composite = compose_check(M.beta, M.alpha)
+        self.clean_everywhere = (composite and onto_everywhere(M.beta).full
+                                 and onto_everywhere(M.alpha.transpose()).full)
+        # jump_cells[r][c] lists entry (r, c) of beta_j alpha_i, i < j in the
+        # order of Line.minors, so J(L)[r][c] is its dot product with them
+        self.jump_cells = None
+        if composite and M.v == M.v_prime:
+            a, b = M.alpha.coeffs, M.beta.coeffs
+            terms = [b[j].matmul(a[i]).data
+                     for i, j in combinations(range(M.alpha.nvars), 2)]
+            self.jump_cells = [[[t[r][c] for t in terms] for c in range(M.v)]
+                               for r in range(M.v)]
+
+    def _jumps(self, line: Line) -> bool:
+        """Whether rank J(L) < v, J(L) = sum_{i<j} pi_ij beta_j alpha_i."""
+        f = self.M.field
+        minors = line.minors
+        J = [[sum(map(mul, minors, cell)) for cell in row] for row in self.jump_cells]
+        return DenseMatrix(f, self.M.v, self.M.v, f.reduce(J)).rank() < self.M.v
+
+    def split(self, line: Line):
+        check_line(self.M, line)
+        pc = None
+        if not self.clean_everywhere:
+            pc = restrict(self.M, line)
+            if not line_status(pc).clean:
+                return ("degenerate", None)
+        if self.jump_cells is not None and not self._jumps(line):
+            return ("clean", (0,) * self.rank)
+        if pc is None:
+            pc = restrict(self.M, line)
+        return ("clean", splitting_type(pc).parts)
 
 
 @dataclass
@@ -155,7 +215,7 @@ def jumping_scan(M: SpecialMonad, prime: int, samples: int, seed: int = 0,
     if invariants(M).c1 != 0:
         raise ValueError("jumping scans are defined for c1 = 0 sheaves")
     _check_samples(samples)
-    M_scan = to_prime_field(M, prime)
+    split = _ScanContext(to_prime_field(M, prime)).split
     jumping = 0
     degenerate = 0
     spectrum: dict[tuple[int, ...], int] = {}
@@ -163,7 +223,7 @@ def jumping_scan(M: SpecialMonad, prime: int, samples: int, seed: int = 0,
     outcomes: list[LineOutcome] = []
     for i in range(samples):
         line = sample_line(seed, i, field, M.ambient_n)
-        status, parts = _line_splitting(M_scan, line)
+        status, parts = split(line)
         if status == "degenerate":
             degenerate += 1
         else:
@@ -216,11 +276,12 @@ def trivial_splitting_test(M: SpecialMonad, samples: int = 10, seed: int = 0) ->
     trivial.  Without a witness the observed spectrum is reported.
     """
     _check_samples(samples)
+    split = _ScanContext(M).split
     spectrum: dict[tuple[int, ...], int] = {}
     degenerate = 0
     for i in range(samples):
         line = sample_line(seed, i, M.field, M.ambient_n)
-        status, parts = _line_splitting(M, line)
+        status, parts = split(line)
         if status == "degenerate":
             degenerate += 1
             continue
@@ -369,8 +430,9 @@ def uniformity_evidence(M: SpecialMonad, samples: int = 50, seed: int = 0,
     witness = None
     lines = list(extra_lines) + [sample_line(seed, i, M.field, M.ambient_n)
                                  for i in range(samples)]
+    split = _ScanContext(M).split
     for line in lines:
-        status, parts = _line_splitting(M, line)
+        status, parts = split(line)
         if status == "degenerate":
             degenerate += 1
             continue

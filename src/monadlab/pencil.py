@@ -20,6 +20,7 @@ measured dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import combinations
 
 from .errors import (
     AlphaDegenerateError,
@@ -29,7 +30,6 @@ from .errors import (
 )
 from .cohomology import complex_cohomology
 from .exactlin import (
-    DenseMatrix,
     LinearFormMatrix,
     compose_check,
     generically_injective,
@@ -40,21 +40,29 @@ from .monad import SpecialMonad
 
 @dataclass(frozen=True)
 class Line:
-    """A line in P^n, parametrized by two spanning points (rows)."""
+    """A line in P^n, parametrized by two spanning points (rows).
+
+    minors holds the 2x2 minors pi_ij = a_i b_j - a_j b_i, i < j in
+    lexicographic order, of the spanning points a, b: the Plucker
+    coordinates of the line.  They follow from the points, so they are not
+    part of the value.
+    """
 
     field: object
     points: tuple[tuple, ...]
+    minors: tuple = dc_field(compare=False, repr=False)
 
     @classmethod
     def from_points(cls, field, p0, p1) -> "Line":
-        pts = (tuple(field.coerce(x) for x in p0),
-               tuple(field.coerce(x) for x in p1))
-        if len(pts[0]) != len(pts[1]):
+        a = tuple(map(field.coerce, p0))
+        b = tuple(map(field.coerce, p1))
+        if len(a) != len(b):
             raise ShapeMismatchError("spanning points need equal lengths")
-        mat = DenseMatrix(field, 2, len(pts[0]), [list(pts[0]), list(pts[1])])
-        if mat.rank() != 2:
+        minors = field.reduce([[a[i] * b[j] - a[j] * b[i]
+                                for i, j in combinations(range(len(a)), 2)]])[0]
+        if not any(minors):
             raise ShapeMismatchError("spanning points are proportional; not a line")
-        return cls(field, pts)
+        return cls(field, (a, b), tuple(minors))
 
     @property
     def nvars(self) -> int:
@@ -64,9 +72,7 @@ class Line:
         """The six Plucker coordinates p01, p02, p03, p12, p13, p23 (n = 3)."""
         if self.nvars != 4:
             raise ValueError("Plucker coordinates are defined for lines in P3")
-        a, b = self.points
-        minors = [a[i] * b[j] - a[j] * b[i] for i in range(4) for j in range(i + 1, 4)]
-        return tuple(self.field.reduce([minors])[0])
+        return self.minors
 
     def to_json_obj(self):
         return [[self.field.fmt(x) for x in pt] for pt in self.points]
@@ -105,12 +111,17 @@ class PencilComplex:
         return f"PencilComplex(v={self.v}, w={self.w}, v'={self.v_prime})"
 
 
-def restrict(M: SpecialMonad, line: Line) -> PencilComplex:
-    """Restrict a monad to a line by evaluating the forms at the two points."""
+def check_line(M: SpecialMonad, line: Line) -> None:
+    """Refuse a line of another field or another projective space than M's."""
     if line.field != M.field:
         raise ShapeMismatchError("line and monad live over different fields")
     if line.nvars != M.ambient_n + 1:
         raise ShapeMismatchError("line lives in a different projective space")
+
+
+def restrict(M: SpecialMonad, line: Line) -> PencilComplex:
+    """Restrict a monad to a line by evaluating the forms at the two points."""
+    check_line(M, line)
     p0, p1 = line.points
     A = LinearFormMatrix(M.field, M.w, M.v, 2, [M.alpha.at(p0), M.alpha.at(p1)])
     B = LinearFormMatrix(M.field, M.v_prime, M.w, 2, [M.beta.at(p0), M.beta.at(p1)])

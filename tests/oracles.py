@@ -26,3 +26,22 @@ def grid_injective(L) -> bool:
         raise ValueError(f"the grid needs p > {v}")
     return any(L.at(list(pt)).rank() == v
                for pt in itertools.product(range(v + 1), repeat=L.nvars) if any(pt))
+
+
+class ReferenceScan:
+    """Splits every line the long way: restrict, line_status, splitting_type.
+
+    A drop-in for monadlab.lines_scan._ScanContext with no per-scan
+    certificate and no jump matrix, so a scan run with it in place is the
+    reference that the scan's shortcuts must reproduce.
+    """
+
+    def __init__(self, M):
+        self.M = M
+
+    def split(self, line):
+        from monadlab.pencil import line_status, restrict, splitting_type
+        pc = restrict(self.M, line)
+        if not line_status(pc).clean:
+            return ("degenerate", None)
+        return ("clean", splitting_type(pc).parts)

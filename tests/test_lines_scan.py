@@ -223,7 +223,7 @@ def test_line_splitting_matches_full_reconstruction():
     # rule must agree with the full reconstruction on every clean line,
     # and a line must be degenerate exactly when line_status says so
     from monadlab import random_monad, splitting_type
-    from monadlab.lines_scan import _line_splitting
+    from monadlab.lines_scan import _ScanContext
     lf = example_monad("locally-free")
     corpus = [(lf, 5, 80), (lf, 101, 40), (direct_sum(lf, lf), 7, 40),
               (_p2_monad(), 7, 40),
@@ -234,9 +234,10 @@ def test_line_splitting_matches_full_reconstruction():
     seen = {"trivial": 0, "jumping": 0}
     for M, p, samples in corpus:
         Mp = to_prime_field(M, p)
+        split = _ScanContext(Mp).split
         for i in range(samples):
             line = sample_line(11, i, GF(p), M.ambient_n)
-            status, parts = _line_splitting(Mp, line)
+            status, parts = split(line)
             pc = restrict(Mp, line)
             assert (status == "clean") == line_status(pc).clean
             if status == "degenerate":
@@ -267,7 +268,7 @@ def test_scan_mod_a_prime_where_beta_degenerates_everywhere(bad_reduction_monad)
 def test_scan_mod_a_prime_where_beta_degenerates_at_some_points(bad_reduction_monad):
     # mod 5 the right map drops rank at a few points; lines through them
     # are degenerate, the others are scanned as usual
-    from monadlab.lines_scan import _line_splitting
+    from monadlab.lines_scan import _ScanContext
     from oracles import projective_points
     M, cls = bad_reduction_monad
     rep = jumping_scan(M, 5, 300, seed=7, classification=cls)
@@ -284,7 +285,7 @@ def test_scan_mod_a_prime_where_beta_degenerates_at_some_points(bad_reduction_mo
     pc = restrict(M5, through)
     st = line_status(pc)
     assert not st.clean and st.degenerate_map == "right"
-    assert _line_splitting(M5, through) == ("degenerate", None)
+    assert _ScanContext(M5).split(through) == ("degenerate", None)
     rep = uniformity_evidence(M5, samples=5, extra_lines=[through],
                               classification=cls)
     assert rep.degenerate >= 1
