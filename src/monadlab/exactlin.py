@@ -5,9 +5,11 @@ fields F_p.  A scalar is a plain Python number: over Q an int or a stdlib
 Fraction, over F_p an int in [0, p).  Loops compute with Python's own
 +, - and *, and hand each finished matrix to field.reduce once: the
 identity over Q, x % p over F_p.  A field object is otherwise only a codec
-(coerce, parse, fmt).  Rank and kernel computations are exact:
-fraction-free Bareiss elimination over Q to control coefficient growth,
-ordinary Gaussian elimination over F_p.
+(coerce, parse, fmt).  Every elimination is integer elimination, by one
+routine: mod p over F_p, fraction-free (Bareiss) over Z for a matrix over
+Q, its rows first cleared of denominators.  A rank is the number of
+pivots; a kernel is back-substituted from the same echelon form, in
+integers over Q.
 
 The module also provides monomial bases of the graded pieces of a
 polynomial ring (graded-lex, variable 0 highest), matrices of linear
@@ -164,104 +166,56 @@ def field_from_name(name: str):
 # elimination kernels (destructive, list-of-lists)
 
 
-def _bareiss_rank(rows: list[list[int]], ncols: int) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
+def _echelon(rows: list[list[int]], ncols: int, p: int | None) -> list[int]:
+    """Row echelon form of an integer matrix, in place; returns the pivot columns.
 
-    Intermediate entries are exact minors of the input, so all divisions
-    below are exact integer divisions.
-    """
-    nrows = len(rows)
-    rank = 0
-    col = 0
-    prev = 1
-    while col < ncols and rank < nrows:
-        piv = None
-        for i in range(rank, nrows):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            col += 1
-            continue
-        if piv != rank:
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        pval = prow[col]
-        for i in range(rank + 1, nrows):
-            row = rows[i]
-            f = row[col]
-            if f:
-                for j in range(col + 1, ncols):
-                    row[j] = (pval * row[j] - f * prow[j]) // prev
-                row[col] = 0
-            elif prev != 1 or pval != 1:
-                for j in range(col + 1, ncols):
-                    row[j] = pval * row[j] // prev
-        prev = pval
-        rank += 1
-        col += 1
-    return rank
-
-
-def _rank_mod_p(rows: list[list[int]], ncols: int, p: int) -> int:
-    """Rank over F_p; entries must already be reduced mod p."""
-    nrows = len(rows)
-    rank = 0
-    col = 0
-    while col < ncols and rank < nrows:
-        piv = None
-        for i in range(rank, nrows):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            col += 1
-            continue
-        if piv != rank:
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        inv = pow(prow[col], -1, p)
-        for j in range(col, ncols):
-            prow[j] = prow[j] * inv % p
-        for i in range(rank + 1, nrows):
-            f = rows[i][col]
-            if f:
-                row = rows[i]
-                for j in range(col, ncols):
-                    row[j] = (row[j] - f * prow[j]) % p
-        rank += 1
-        col += 1
-    return rank
-
-
-def _rref(field, rows, ncols):
-    """Reduced row echelon form in place; returns the pivot column list.
-
-    Entries must be canonical on entry; each pivot step reduces once.
+    Over F_p (p given, entries reduced mod p) each pivot row is scaled to 1.
+    With p None the elimination is fraction-free (Bareiss) over Z:
+    intermediate entries are exact minors of the input, so every division
+    below is an exact integer division, and the rows keep the row space
+    over Q.  Only rows below a pivot change, so row r ends with zeros left
+    of pivots[r] and a nonzero entry there.
     """
     nrows = len(rows)
     pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
+    rank = 0
+    prev = 1
+    for col in range(ncols):
+        if rank == nrows:
             break
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                piv = i
+        for piv in range(rank, nrows):
+            if rows[piv][col]:
                 break
-        if piv is None:
+        else:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = field.coerce(Fraction(1, rows[r][c]))
-        prow = rows[r] = [inv * x for x in rows[r]]
-        for i in range(nrows):
-            f = rows[i][c]
-            if f and i != r:
-                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-        field.reduce(rows)
-        pivots.append(c)
-        r += 1
+        if piv != rank:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+        prow = rows[rank]
+        if p:
+            inv = pow(prow[col], -1, p)
+            for j in range(col, ncols):
+                prow[j] = prow[j] * inv % p
+            for i in range(rank + 1, nrows):
+                row = rows[i]
+                f = row[col]
+                if f:
+                    for j in range(col, ncols):
+                        row[j] = (row[j] - f * prow[j]) % p
+        else:
+            pval = prow[col]
+            for i in range(rank + 1, nrows):
+                row = rows[i]
+                f = row[col]
+                if f:
+                    for j in range(col + 1, ncols):
+                        row[j] = (pval * row[j] - f * prow[j]) // prev
+                    row[col] = 0
+                elif prev != 1 or pval != 1:
+                    for j in range(col + 1, ncols):
+                        row[j] = pval * row[j] // prev
+            prev = pval
+        pivots.append(col)
+        rank += 1
     return pivots
 
 
@@ -347,35 +301,50 @@ class DenseMatrix:
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.data for x in row)
 
-    def rank(self) -> int:
-        if self.nrows == 0 or self.ncols == 0:
-            return 0
+    def _echelon(self):
+        """Echelon rows (integers over Q, residues over F_p) and pivot columns."""
         if self.field.kind == "Fp":
-            return _rank_mod_p(self.copy_data(), self.ncols, self.field.p)
-        return _bareiss_rank(_int_rows(self.data), self.ncols)
+            rows, p = self.copy_data(), self.field.p
+        else:
+            rows, p = _int_rows(self.data), None
+        return rows, _echelon(rows, self.ncols, p)
+
+    def rank(self) -> int:
+        return len(self._echelon()[1])
 
     def right_kernel(self) -> "DenseMatrix":
-        """Basis of {x : M x = 0}, returned as the columns of a matrix."""
+        """Basis of {x : M x = 0}, returned as the columns of a matrix.
+
+        Back-substitution on the echelon rows: the vector of a free column
+        is 1 there and 0 at every other free column.  Over Q it is solved
+        in integers and returned primitive, with positive leading entry.
+        """
         f = self.field
-        if self.ncols == 0:
-            return DenseMatrix(f, 0, 0, [])
-        if self.nrows == 0:
-            return DenseMatrix.identity(f, self.ncols)
-        rows = self.copy_data()
-        pivots = _rref(f, rows, self.ncols)
+        n = self.ncols
+        p = f.p if f.kind == "Fp" else None
+        rows, pivots = self._echelon()
         pivot_set = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
         cols = []
-        for fc in free:
-            vec = [0] * self.ncols
-            vec[fc] = 1
-            for r, pc in enumerate(pivots):
-                vec[pc] = -rows[r][fc]
-            cols.append(vec)
-        if f.kind == "Q":
-            cols = [_primitive(vec) for vec in cols]
-        data = [[col[i] for col in cols] for i in range(self.ncols)]
-        return DenseMatrix(f, self.ncols, len(cols), f.reduce(data))
+        for fc in range(n):
+            if fc in pivot_set:
+                continue
+            x = [0] * n
+            x[fc] = 1
+            for r in range(len(pivots) - 1, -1, -1):
+                pc = pivots[r]
+                row = rows[r]
+                s = sum(a * b for a, b in zip(row[pc + 1:], x[pc + 1:]) if b)
+                if not s:
+                    continue
+                if p:
+                    x[pc] = -s % p
+                else:
+                    g = gcd(s, row[pc])
+                    x = [row[pc] // g * y for y in x]
+                    x[pc] = -s // g
+            cols.append(x if p else _primitive(x))
+        data = [[col[i] for col in cols] for i in range(n)]
+        return DenseMatrix(f, n, len(cols), data)
 
     def __eq__(self, other):
         return (
@@ -391,20 +360,11 @@ class DenseMatrix:
 
 
 def _primitive(vec):
-    """Scale a rational vector to coprime integers with positive leading entry."""
-    mult = lcm(*(x.denominator for x in vec)) if vec else 1
-    ints = [int(x * mult) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return [Fraction(x) for x in ints]
+    """Divide an integer vector by its content, leading nonzero entry positive."""
+    g = gcd(*vec)
+    if next(x for x in vec if x) < 0:
+        g = -g
+    return [Fraction(x // g) for x in vec]
 
 
 def rank(m: DenseMatrix) -> int:
@@ -706,11 +666,7 @@ def linear_locus(L: LinearFormMatrix) -> list[list]:
     subspace the basis spans, empty when the basis is.
     """
     forms = [L.entry_form(i, j) for i in range(L.nrows) for j in range(L.ncols)]
-    coeff = DenseMatrix(L.field, len(forms), L.nvars, forms)
-    if coeff.rank() == L.nvars:      # a rank is cheaper than a kernel
-        return []
-    kern = coeff.right_kernel()
-    return [[kern.data[i][c] for i in range(L.nvars)] for c in range(kern.ncols)]
+    return DenseMatrix(L.field, len(forms), L.nvars, forms).right_kernel().transpose().data
 
 
 def compose_check(B: LinearFormMatrix, A: LinearFormMatrix) -> bool:

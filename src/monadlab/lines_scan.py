@@ -90,6 +90,13 @@ def _require_locally_free(M: SpecialMonad, classification):
     return cls
 
 
+def _scan_field(M: SpecialMonad, prime: int) -> PrimeField:
+    field = PrimeField(prime)
+    if M.field not in (QQ, field):
+        raise MonadLabError(f"monad lives over {M.field.name}, cannot scan mod {prime}")
+    return field
+
+
 def _check_samples(samples: int):
     if samples > MAX_SAMPLES:
         raise ValueError(f"sample count {samples} exceeds the cap {MAX_SAMPLES}")
@@ -208,13 +215,11 @@ def jumping_scan(M: SpecialMonad, prime: int, samples: int, seed: int = 0,
     reduced left or right map drops rank are counted separately as
     degenerate.  Requires a locally-free sheaf with c1 = 0.
     """
-    field = PrimeField(prime)
-    if M.field not in (QQ, field):
-        raise MonadLabError(f"monad lives over {M.field.name}, cannot scan mod {prime}")
+    field = _scan_field(M, prime)
+    _check_samples(samples)
     _require_locally_free(M, classification)
     if invariants(M).c1 != 0:
         raise ValueError("jumping scans are defined for c1 = 0 sheaves")
-    _check_samples(samples)
     split = _ScanContext(to_prime_field(M, prime)).split
     jumping = 0
     degenerate = 0
@@ -342,13 +347,16 @@ def codim_evidence(M: SpecialMonad, primes, samples: int, seed: int = 0,
     exponent is the least-squares slope of -log(fraction) against log(p);
     its standard error propagates the binomial noise of the counts.
     """
+    primes = list(primes)
+    for p in primes:
+        _scan_field(M, p)
+    if len(set(primes)) < 2:
+        raise ValueError("need at least two distinct primes to estimate an exponent")
+    _check_samples(samples)
     cls = _require_locally_free(M, classification)
     inv = invariants(M)
     if inv.rank != 2 or inv.c1 != 0:
         raise ValueError("codimension evidence is defined for rank 2, c1 = 0")
-    primes = list(primes)
-    if len(primes) < 2:
-        raise ValueError("need at least two primes to estimate an exponent")
     rows = []
     for p in primes:
         rep = jumping_scan(M, p, samples, seed, cls)
@@ -421,9 +429,9 @@ def uniformity_evidence(M: SpecialMonad, samples: int = 50, seed: int = 0,
     nonzero c2 is flagged: a uniform such sheaf would be trivial, so
     jumping lines must exist even if sampling missed them.
     """
-    cls = _require_locally_free(M, classification)
-    inv = invariants(M)
     _check_samples(samples)
+    _require_locally_free(M, classification)
+    inv = invariants(M)
     spectrum: dict[tuple[int, ...], int] = {}
     degenerate = 0
     first_parts = None

@@ -1,6 +1,8 @@
 """Brute-force oracles shared by the tests."""
 
 import itertools
+from fractions import Fraction
+from math import gcd, lcm
 
 
 def projective_points(p: int, nvars: int):
@@ -45,3 +47,60 @@ class ReferenceScan:
         if not line_status(pc).clean:
             return ("degenerate", None)
         return ("clean", splitting_type(pc).parts)
+
+
+def _rref(field, rows, ncols):
+    """Reduced row echelon form in place; returns the pivot column list.
+
+    Entries must be canonical on entry; each pivot step reduces once.
+    """
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        piv = None
+        for i in range(r, nrows):
+            if rows[i][c] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = field.coerce(Fraction(1, rows[r][c]))
+        prow = rows[r] = [inv * x for x in rows[r]]
+        for i in range(nrows):
+            f = rows[i][c]
+            if f and i != r:
+                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
+        field.reduce(rows)
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def reference_kernel(m):
+    """Rank and right kernel of a DenseMatrix by Fraction RREF.
+
+    The kernel is a list of basis vectors: vector c is 1 at free column c
+    and 0 at the other free columns, over Q scaled to coprime integers with
+    positive leading entry.
+    """
+    rows = m.copy_data()
+    pivots = _rref(m.field, rows, m.ncols)
+    vecs = []
+    for fc in sorted(set(range(m.ncols)) - set(pivots)):
+        vec = [0] * m.ncols
+        vec[fc] = 1
+        for r, pc in enumerate(pivots):
+            vec[pc] = -rows[r][fc]
+        if m.field.kind == "Q":
+            mult = lcm(*(Fraction(x).denominator for x in vec))
+            ints = [int(x * mult) for x in vec]
+            g = gcd(*ints)
+            if next(x for x in ints if x) < 0:
+                g = -g
+            vec = [Fraction(x // g) for x in ints]
+        vecs.append(m.field.reduce([vec])[0])
+    return len(pivots), vecs

@@ -32,7 +32,7 @@ from monadlab import (
     trivial_splitting_test,
 )
 from monadlab.cli import main as cli_main
-from monadlab.exactlin import DenseMatrix, _rref
+from monadlab.exactlin import DenseMatrix
 from monadlab.lines_scan import sample_line
 from monadlab.pencil import (
     Line,
@@ -42,6 +42,7 @@ from monadlab.pencil import (
     restrict,
     splitting_type,
 )
+from oracles import _rref
 
 EXAMPLES = ("torsion-free", "reflexive", "locally-free")
 

@@ -314,6 +314,26 @@ def test_codim_evidence_csv(capsys, lf_path):
     assert len(lines) == 3
 
 
+def test_codim_evidence_refuses_repeated_primes(capsys, lf_path):
+    code, out, err = run(capsys, "codim-evidence", lf_path, "--primes", "101,101",
+                         "--samples", "3000")
+    assert code == 2 and out == ""
+    assert "two distinct primes" in err and "Traceback" not in err
+
+
+def test_codim_evidence_refuses_a_composite_before_scanning(capsys, lf_path,
+                                                            monkeypatch):
+    from monadlab import lines_scan, pointwise
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("argument check came after the work")
+    monkeypatch.setattr(lines_scan, "jumping_scan", no_work)
+    monkeypatch.setattr(pointwise, "classify", no_work)
+    code, out, err = run(capsys, "codim-evidence", lf_path, "--primes", "1009,100")
+    assert code == 2 and out == ""
+    assert "100 is not prime" in err
+
+
 def test_uniformity_subcommand(capsys, lf_path):
     code, out, _ = run(capsys, "uniformity", lf_path, "--samples", "25")
     assert code == 0

@@ -7,8 +7,8 @@ from math import comb
 import pytest
 
 from monadlab.errors import ShapeMismatchError
-from monadlab.monad import random_monad, to_prime_field
-from oracles import grid_injective, projective_points
+from monadlab.monad import example_monad, random_monad, to_prime_field
+from oracles import grid_injective, projective_points, reference_kernel
 from monadlab.exactlin import (
     GF,
     QQ,
@@ -18,6 +18,7 @@ from monadlab.exactlin import (
     forms_matrix,
     generically_injective,
     kernel_basis,
+    linear_locus,
     monomial_basis,
     monomial_count,
     monomial_exponents,
@@ -91,6 +92,60 @@ def test_rank_agrees_over_q_and_large_primes():
     rq = rank(DenseMatrix.from_rows(QQ, rows))
     for p in (32003, 65521, 1000003):
         assert rank(DenseMatrix.from_rows(GF(p), rows)) == rq
+
+
+def _sample_matrix(rng, field, r, c):
+    """A seeded r x c matrix: dense, sparse, zero, or of planted rank."""
+    def entry():
+        if field.kind == "Q":
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        return rng.randrange(field.p)
+
+    kind = rng.choice(("dense", "sparse", "zero", "planted"))
+    if kind == "zero":
+        rows = [[0] * c for _ in range(r)]
+    elif kind == "planted":          # a product through k dimensions: rank <= k
+        k = rng.randint(0, min(r, c))
+        a = [[entry() for _ in range(k)] for _ in range(r)]
+        b = [[entry() for _ in range(c)] for _ in range(k)]
+        rows = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(c)]
+                for i in range(r)]
+    else:
+        density = 1.0 if kind == "dense" else 0.3
+        rows = [[entry() if rng.random() < density else 0 for _ in range(c)]
+                for _ in range(r)]
+    return DenseMatrix(field, r, c, field.reduce(rows))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5), GF(101), GF(32003)],
+                         ids=lambda f: f.name)
+def test_rank_and_kernel_match_the_rref_reference(field):
+    # differential test of the one echelon routine against the Fraction
+    # RREF it replaced: same rank, and the same canonical kernel basis
+    rng = random.Random(field.name)
+    shapes = [(0, 0), (0, 5), (5, 0), (1, 9), (9, 1), (2, 9), (9, 2), (9, 9)]
+    shapes += [(rng.randint(0, 9), rng.randint(0, 9)) for _ in range(200)]
+    for r, c in shapes:
+        m = _sample_matrix(rng, field, r, c)
+        ref_rank, ref_kernel = reference_kernel(m)
+        kern = m.right_kernel()
+        assert m.rank() == ref_rank, (r, c, m.data)
+        assert (kern.nrows, kern.ncols) == (c, len(ref_kernel))
+        assert kern.transpose().data == ref_kernel, (r, c, m.data)
+
+
+@pytest.mark.parametrize("name", ["torsion-free", "reflexive"])
+def test_linear_locus_is_one_kernel_and_no_rank(monkeypatch, name):
+    calls = {"rank": 0, "right_kernel": 0}
+    for meth in calls:
+        def counted(self, _orig=getattr(DenseMatrix, meth), _name=meth):
+            calls[_name] += 1
+            return _orig(self)
+        monkeypatch.setattr(DenseMatrix, meth, counted)
+    M = example_monad(name)
+    assert linear_locus(M.alpha)          # alpha drops rank: a nonempty locus
+    assert linear_locus(M.beta) == []     # beta is onto: no common zero
+    assert calls == {"rank": 0, "right_kernel": 2}
 
 
 def test_monomial_basis():

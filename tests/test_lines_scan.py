@@ -131,6 +131,25 @@ def test_codim_evidence_trivial_and_error_paths():
         codim_evidence(M, [101], 100, classification=classify(M))
 
 
+def test_scans_check_their_arguments_before_classifying():
+    # a torsion-free sheaf is refused by classification, so each error
+    # below shows that the argument was checked first
+    tf = example_monad("torsion-free")
+    with pytest.raises(ValueError, match="at least one sample"):
+        jumping_scan(tf, 101, 0)
+    with pytest.raises(ValueError, match="at least one sample"):
+        uniformity_evidence(tf, samples=0)
+    with pytest.raises(ValueError, match="at least one sample"):
+        codim_evidence(tf, [101, 103], 0)
+    with pytest.raises(ValueError, match="two distinct primes"):
+        codim_evidence(tf, [101, 101], 100)
+    with pytest.raises(ValueError, match="not prime"):
+        codim_evidence(tf, [101, 100], 100)
+    from monadlab import MonadLabError
+    with pytest.raises(MonadLabError, match="cannot scan mod 103"):
+        codim_evidence(to_prime_field(tf, 101), [101, 103], 100)
+
+
 def test_codim_evidence_exponent_regression_arithmetic():
     # two primes with equal nonzero fractions give exponent 0: not codim 1
     M = example_monad("locally-free")

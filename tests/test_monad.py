@@ -1,6 +1,7 @@
 """Monad data model: existence, validation, invariants, constructions, wire format."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -220,6 +221,17 @@ def test_random_monad_deterministic_in_seed():
     c = random_monad(2, 7, 1, seed=43)
     assert encode(a) == encode(b)
     assert encode(a) != encode(c)
+
+
+def test_random_monad_solves_beta_in_integers_fast():
+    # the kernel behind beta*alpha = 0 is back-substituted in integers from
+    # a fraction-free echelon form, not reduced over Fractions
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        random_monad(3, 10, 3, seed=1)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.1, best
 
 
 def test_random_monad_over_prime_field():
