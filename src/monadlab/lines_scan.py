@@ -51,14 +51,16 @@ statement carries its (prime, samples, seed).
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations
+from itertools import chain, combinations
 from operator import mul
 
 from . import pointwise
-from ._seeds import rng_for
+from ._seeds import seed_of_text
 from .errors import MonadLabError, NotLocallyFreeError
-from .exactlin import QQ, DenseMatrix, PrimeField, compose_check, onto_everywhere
+from .exactlin import (QQ, DenseMatrix, PrimeField, _echelon, compose_check,
+                       onto_everywhere)
 from .monad import COEFF_BOUND, SpecialMonad, invariants, to_prime_field
 from .pencil import Line, check_line, line_status, restrict, splitting_type
 
@@ -67,19 +69,37 @@ WITNESS_CAP = 32
 
 
 def sample_line(seed: int, index: int, field, ambient_n: int = 3) -> Line:
-    """Deterministic random line: entries from hash(seed, index), rank 2."""
-    rng = rng_for("line", seed, index, field.name)
+    """Deterministic random line: entries from hash(seed, index), rank 2.
+
+    The generator is rng_for("line", seed, index, field.name), seeded from
+    the same text.  Each entry is the value of rng.randrange(p) over F_p and
+    of rng.randint(-COEFF_BOUND, COEFF_BOUND) over Q, drawn as CPython draws
+    a value below n: k = n.bit_length() random bits, drawn again while they
+    reach n.  Proportional points are drawn again.
+    """
+    bits = random.Random(seed_of_text(f"line:{seed}:{index}:{field.name}")).getrandbits
     nvars = ambient_n + 1
+    p = field.p if field.kind == "Fp" else None
+    n, low = (p, 0) if p else (2 * COEFF_BOUND + 1, -COEFF_BOUND)
+    k = n.bit_length()
     while True:
-        if field.kind == "Fp":
-            rows = [[rng.randrange(field.p) for _ in range(nvars)] for _ in range(2)]
+        draws = []
+        for _ in range(2 * nvars):
+            r = bits(k)
+            while r >= n:
+                r = bits(k)
+            draws.append(low + r)
+        a, b = draws[:nvars], draws[nvars:]
+        pairs = combinations(range(nvars), 2)
+        if p:
+            minors = [(a[i] * b[j] - a[j] * b[i]) % p for i, j in pairs]
         else:
-            rows = [[rng.randint(-COEFF_BOUND, COEFF_BOUND) for _ in range(nvars)]
-                    for _ in range(2)]
-        try:
-            return Line.from_points(field, rows[0], rows[1])
-        except MonadLabError:
-            continue
+            minors = [a[i] * b[j] - a[j] * b[i] for i, j in pairs]
+        if any(minors):
+            break
+    if not p:
+        a, b, minors = ([QQ.coerce(x) for x in xs] for xs in (a, b, minors))
+    return Line(field, (tuple(a), tuple(b)), tuple(minors))
 
 
 def _require_locally_free(M: SpecialMonad, classification):
@@ -130,10 +150,12 @@ class _ScanContext:
 
     def _jumps(self, line: Line) -> bool:
         """Whether rank J(L) < v, J(L) = sum_{i<j} pi_ij beta_j alpha_i."""
-        f = self.M.field
+        f, v = self.M.field, self.M.v
         minors = line.minors
         J = [[sum(map(mul, minors, cell)) for cell in row] for row in self.jump_cells]
-        return DenseMatrix(f, self.M.v, self.M.v, f.reduce(J)).rank() < self.M.v
+        if f.kind == "Fp":
+            return len(_echelon(f.reduce(J), v, f.p)) < v
+        return DenseMatrix(f, v, v, J).rank() < v
 
     def split(self, line: Line):
         check_line(self.M, line)
@@ -357,9 +379,11 @@ def codim_evidence(M: SpecialMonad, primes, samples: int, seed: int = 0,
     inv = invariants(M)
     if inv.rank != 2 or inv.c1 != 0:
         raise ValueError("codimension evidence is defined for rank 2, c1 = 0")
+    # a prime with no reduction is refused before any scan
+    reduced = [to_prime_field(M, p) for p in primes]
     rows = []
-    for p in primes:
-        rep = jumping_scan(M, p, samples, seed, cls)
+    for p, Mp in zip(primes, reduced):
+        rep = jumping_scan(Mp, p, samples, seed, cls)
         rows.append({"prime": p, "samples": rep.samples, "jumping": rep.jumping,
                      "fraction": rep.fraction})
     if all(r["jumping"] == 0 for r in rows):
@@ -436,8 +460,8 @@ def uniformity_evidence(M: SpecialMonad, samples: int = 50, seed: int = 0,
     degenerate = 0
     first_parts = None
     witness = None
-    lines = list(extra_lines) + [sample_line(seed, i, M.field, M.ambient_n)
-                                 for i in range(samples)]
+    lines = chain(extra_lines, (sample_line(seed, i, M.field, M.ambient_n)
+                                for i in range(samples)))
     split = _ScanContext(M).split
     for line in lines:
         status, parts = split(line)

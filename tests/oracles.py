@@ -104,3 +104,25 @@ def reference_kernel(m):
             vec = [Fraction(x // g) for x in ints]
         vecs.append(m.field.reduce([vec])[0])
     return len(pivots), vecs
+
+
+def reference_sample_line(seed: int, index: int, field, ambient_n: int = 3):
+    """monadlab.lines_scan.sample_line before it drew with getrandbits:
+    randrange and randint draws, and Line.from_points.  The lines of
+    sample_line must equal these."""
+    from monadlab._seeds import rng_for
+    from monadlab.errors import MonadLabError
+    from monadlab.monad import COEFF_BOUND
+    from monadlab.pencil import Line
+    rng = rng_for("line", seed, index, field.name)
+    nvars = ambient_n + 1
+    while True:
+        if field.kind == "Fp":
+            rows = [[rng.randrange(field.p) for _ in range(nvars)] for _ in range(2)]
+        else:
+            rows = [[rng.randint(-COEFF_BOUND, COEFF_BOUND) for _ in range(nvars)]
+                    for _ in range(2)]
+        try:
+            return Line.from_points(field, rows[0], rows[1])
+        except MonadLabError:
+            continue

@@ -95,7 +95,8 @@ def test_corrupted_file_exits_2_with_position(capsys, tmp_path):
 
 
 def test_truncated_matrix_reports_path(capsys, tmp_path, lf_path):
-    obj = json.loads(open(lf_path).read())
+    with open(lf_path) as fh:
+        obj = json.load(fh)
     obj["beta"][2][0] = obj["beta"][2][0][:-1]
     path = tmp_path / "trunc.json"
     path.write_text(json.dumps(obj))
@@ -332,6 +333,38 @@ def test_codim_evidence_refuses_a_composite_before_scanning(capsys, lf_path,
     code, out, err = run(capsys, "codim-evidence", lf_path, "--primes", "1009,100")
     assert code == 2 and out == ""
     assert "100 is not prime" in err
+
+
+def test_codim_evidence_reduces_every_prime_before_scanning(capsys, tmp_path,
+                                                           lf_path, monkeypatch):
+    # a copy of the example under a change of basis of the middle term:
+    # row 0 of alpha over 103, column 0 of beta times 103; it has no
+    # reduction mod 103
+    with open(lf_path) as fh:
+        obj = json.load(fh)
+    obj["alpha"][0][0][0] = "1/103"
+    for coeffs in obj["beta"]:
+        coeffs[0][0] = str(103 * int(coeffs[0][0]))
+    path = tmp_path / "lf103.json"
+    path.write_text(json.dumps(obj))
+    from monadlab import lines_scan
+    scans = []
+    scan = lines_scan.jumping_scan
+
+    def counting(*args, **kwargs):
+        scans.append(args[1])
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(lines_scan, "jumping_scan", counting)
+    code, out, err = run(capsys, "codim-evidence", str(path), "--primes", "101,1009",
+                         "--samples", "50")
+    assert code == 0 and scans == [101, 1009]
+    scans.clear()
+    code, out, err = run(capsys, "codim-evidence", str(path), "--primes", "101,103")
+    assert code == 1 and out == ""
+    assert err == ("monadlab: cannot reduce monad mod 103: "
+                   "denominator of 1/103 vanishes mod 103\n")
+    assert scans == []
 
 
 def test_uniformity_subcommand(capsys, lf_path):

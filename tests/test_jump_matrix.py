@@ -7,6 +7,8 @@ and gate the time of a 4000-line scan.
 """
 
 import json
+import random
+import sys
 import time
 
 import pytest
@@ -134,6 +136,32 @@ def test_a_certified_scan_restricts_only_its_jumping_lines(monkeypatch):
     foreign = Line.from_points(GF(7), [1, 0, 0, 0], [0, 1, 0, 0])
     with pytest.raises(ShapeMismatchError, match="different fields"):
         uniformity_evidence(M, 1, extra_lines=[foreign], classification=cls)
+
+
+def test_a_certified_scan_draws_bits_and_ranks_the_bare_echelon(monkeypatch):
+    # each line is drawn with getrandbits and built from minors computed
+    # once, and its jump test mod p ranks J(L) without a DenseMatrix
+    M = example_monad("locally-free")
+    cls = classify(M)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a certified scan does not call this")
+
+    monkeypatch.setattr(Line, "from_points", classmethod(refuse))
+    monkeypatch.setattr(random.Random, "randrange", refuse)
+    monkeypatch.setattr(random.Random, "randint", refuse)
+    rank = exactlin.DenseMatrix.rank
+    jump_ranks = []
+
+    def rank_by_caller(self):
+        if sys._getframe(1).f_code.co_name == "_jumps":
+            jump_ranks.append(self)
+        return rank(self)
+
+    monkeypatch.setattr(exactlin.DenseMatrix, "rank", rank_by_caller)
+    rep = jumping_scan(M, 101, 2000, seed=0, classification=cls)
+    assert rep.samples == 2000 and rep.degenerate == 0 and rep.jumping > 0
+    assert jump_ranks == []
 
 
 def test_a_bad_reduction_falls_back_to_line_status(monkeypatch):

@@ -21,6 +21,7 @@ from monadlab import (
 )
 from monadlab.lines_scan import MAX_SAMPLES
 from monadlab.pencil import Line, line_status, restrict
+from oracles import reference_sample_line
 
 
 def test_sample_line_is_deterministic_and_rank_2():
@@ -31,6 +32,21 @@ def test_sample_line_is_deterministic_and_rank_2():
         for i in range(50):
             line = sample_line(4, i, field)
             assert len(line.points) == 2
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(101), GF(32003)],
+                         ids=lambda f: f.name)
+def test_sample_line_draws_the_reference_lines(field):
+    # F_2 and F_3 draw proportional points often, so they take the redraw
+    for ambient_n in (2, 3):
+        for seed in (0, 5, 9):
+            for index in range(700):
+                line = sample_line(seed, index, field, ambient_n)
+                ref = reference_sample_line(seed, index, field, ambient_n)
+                assert line.points == ref.points, (ambient_n, seed, index)
+                assert line.minors == ref.minors, (ambient_n, seed, index)
+                assert ([type(x) for x in line.points[0] + line.points[1] + line.minors]
+                        == [type(x) for x in ref.points[0] + ref.points[1] + ref.minors])
 
 
 def test_sampled_lines_satisfy_the_plucker_quadric():
@@ -186,6 +202,21 @@ def test_uniformity_on_the_locally_free_example():
                                classification=cls)
     assert rep2.refuted
     assert rep2.witness is not None
+
+
+def test_uniformity_streams_its_lines():
+    # the sampled lines are split as they are drawn, never held together
+    import tracemalloc
+    M = to_prime_field(example_monad("locally-free"), 101)
+    cls = classify(M)
+    tracemalloc.start()
+    try:
+        rep = uniformity_evidence(M, samples=20000, seed=0, classification=cls)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.samples == 20000 and rep.refuted
+    assert peak < 2 * 2 ** 20, peak
 
 
 def test_codim_verdict_respects_the_tolerance():
