@@ -33,12 +33,14 @@ from .errors import (
 from .exactlin import (
     DEFAULT_PRIME,
     QQ,
+    Certificate,
     DenseMatrix,
     GF,
     LinearFormMatrix,
     MonomialBasis,
     PrimeField,
     RationalField,
+    certify,
     compose_check,
     field_from_name,
     forms_matrix,

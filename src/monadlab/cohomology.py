@@ -36,20 +36,23 @@ If A^T is, that is if the left map A is injective at every point:
     rank a_k       = v|S_{k-1}|   for every k     (A injective as a sheaf map)
     rank a*_j      = v|S_{j+1}|   for j >= v-1    (onto_everywhere's theorem)
 
-cohomology_table takes the B proof once per table, and the A^T proof only
-when the B proof holds; pencil.p1_cohomology holds both for a clean line.
+cohomology_table takes both proofs once per table, with the composite
+check, from exactlin.certify; pencil.p1_cohomology holds both for a clean
+line.  A table refuses a complex whose B proof fails: B is then not onto
+at some point, so the complex is not a monad (a bad reduction mod p, say).
+twist_cohomology is one column of a table, with the same proofs.
 Everything else is eliminated: b_k for k < v'-1, a*_j for j < v-1, every
 left-map rank when the A^T proof fails (torsion-free and reflexive
-sheaves), every rank when the B proof fails (a bad reduction), and the P1
-d_2.  Without proofs, as in twist_cohomology, every rank is eliminated;
-tests/test_closed_forms.py compares the closed forms with that path.
+sheaves), and the P1 d_2.  complex_cohomology called without proofs
+eliminates every rank; tests/test_closed_forms.py compares the closed
+forms with that path.
 
 The Euler characteristic identity is asserted on every call, and
-twist_cohomology and cohomology_table add h^1(E(-1)) = v', h^2(E(-3)) = v
-on P2 and P3; a failure signals an engine defect, never a property of the
-input.  Where a closed form stands in for a rank, the Euler identity
-partly restates it and checks less; the comparison with the all-ranks
-path carries the rest of that check.
+cohomology_table adds h^1(E(-1)) = v', h^2(E(-3)) = v on P2 and P3; a
+failure signals an engine defect, never a property of the input.  Where a
+closed form stands in for a rank, the Euler identity partly restates it
+and checks less; the comparison with the all-ranks path carries the rest
+of that check.
 """
 
 from __future__ import annotations
@@ -57,13 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .errors import MonadLabError
-from .exactlin import (
-    LinearFormMatrix,
-    compose_check,
-    monomial_count,
-    mult_map,
-    onto_everywhere,
-)
+from .exactlin import LinearFormMatrix, certify, monomial_count, mult_map
 from .monad import SpecialMonad, dualize, invariants
 
 DEFAULT_WINDOW = (-6, 2)
@@ -135,23 +132,6 @@ def complex_cohomology(A: LinearFormMatrix, B: LinearFormMatrix, k: int,
     return out
 
 
-def twist_cohomology(M: SpecialMonad, k: int) -> tuple[int, ...]:
-    """(h^0, ..., h^n) of E(k); exact.  Expects a validated monad.
-
-    The composite is re-checked here because the rank formulas silently
-    assume it vanishes; the other two monad conditions stay the caller's
-    responsibility (see validate).  Every rank is eliminated: one twist
-    does not pay for the two proofs that cohomology_table takes.
-    """
-    _check_composite(M)
-    return _twist_column(M, k)
-
-
-def _check_composite(M: SpecialMonad) -> None:
-    if not compose_check(M.beta, M.alpha):
-        raise MonadLabError("composite does not vanish; not a monad")
-
-
 def _twist_column(M: SpecialMonad, k: int, at_onto: bool = False,
                   b_onto: bool = False) -> tuple[int, ...]:
     out = complex_cohomology(M.alpha, M.beta, k, at_onto, b_onto)
@@ -215,17 +195,24 @@ class CohomologyTable:
 def cohomology_table(M: SpecialMonad, k_min: int, k_max: int) -> CohomologyTable:
     """Exact table of twist cohomology on [k_min, k_max].
 
-    The composite is checked and the onto_everywhere proofs are taken once
-    per table; see the module docstring for the ranks they fix.
+    The monad is certified once per table (exactlin.certify): the composite
+    is checked and both onto_everywhere proofs are taken; see the module
+    docstring for the ranks they fix.  A right map that is not onto at
+    every point is refused, since the complex is then not a monad.
     """
     if k_min > k_max:
         raise ValueError("empty twist window")
-    _check_composite(M)
-    b_onto = onto_everywhere(M.beta).full
-    at_onto = b_onto and onto_everywhere(M.alpha.transpose()).full
-    cols = [_twist_column(M, k, at_onto, b_onto) for k in range(k_min, k_max + 1)]
+    cert = certify(M.alpha, M.beta)
+    if not cert.right:
+        raise MonadLabError("right map is not onto at every point; not a monad")
+    cols = [_twist_column(M, k, cert.left, True) for k in range(k_min, k_max + 1)]
     rows = [[col[p] for col in cols] for p in range(M.ambient_n + 1)]
     return CohomologyTable(M.ambient_n, k_min, k_max, rows)
+
+
+def twist_cohomology(M: SpecialMonad, k: int) -> tuple[int, ...]:
+    """(h^0, ..., h^n) of E(k); exact: the one column of cohomology_table(M, k, k)."""
+    return cohomology_table(M, k, k).column(k)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,10 @@ integers over Q.
 The module also provides monomial bases of the graded pieces of a
 polynomial ring (graded-lex, variable 0 highest), matrices of linear
 forms together with the multiplication maps they induce on graded pieces,
-and the two one-rank tests built on them: onto_everywhere (onto at every
-point) and generically_injective (injective as a sheaf map).
+the two one-rank tests built on them: onto_everywhere (onto at every
+point) and generically_injective (injective as a sheaf map), and certify,
+which checks a complex's composite and takes both onto_everywhere proofs
+once, for every pipeline to read.
 Matrices are dense; the intended scale is a few thousand rows at most.
 """
 
@@ -26,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
 
-from .errors import MonadDecodeError, ShapeMismatchError
+from .errors import MonadDecodeError, MonadLabError, ShapeMismatchError
 
 # ---------------------------------------------------------------------------
 # fields
@@ -367,12 +369,8 @@ def _primitive(vec):
     return [Fraction(x // g) for x in vec]
 
 
-def rank(m: DenseMatrix) -> int:
-    return m.rank()
-
-
-def kernel_basis(m: DenseMatrix) -> DenseMatrix:
-    return m.right_kernel()
+rank = DenseMatrix.rank
+kernel_basis = DenseMatrix.right_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -672,28 +670,39 @@ def linear_locus(L: LinearFormMatrix) -> list[list]:
 def compose_check(B: LinearFormMatrix, A: LinearFormMatrix) -> bool:
     """True iff the product B*A vanishes identically as a matrix of quadrics.
 
-    Checks B_t A_t = 0 for all t and B_s A_t + B_t A_s = 0 for s < t.
+    The columns of mult_map(A, 0) are the columns of A as vectors of linear
+    forms, so mult_map(B, 1) carries them to the columns of B*A as vectors
+    of quadrics: one matrix product holds every coefficient.
     """
     if B.ncols != A.nrows:
         raise ShapeMismatchError(f"composite needs {B.ncols} = {A.nrows}")
     if B.nvars != A.nvars or B.field != A.field:
         raise ShapeMismatchError("composite needs matching variables and field")
-    m = B.nvars
-    for t in range(m):
-        if not B.coeffs[t].matmul(A.coeffs[t]).is_zero():
-            return False
-    f = B.field
-    for s in range(m):
-        for t in range(s + 1, m):
-            st = B.coeffs[s].matmul(A.coeffs[t])
-            ts = B.coeffs[t].matmul(A.coeffs[s])
-            mixed = f.reduce([
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(st.data, ts.data)
-            ])
-            if any(x for row in mixed for x in row):
-                return False
-    return True
+    return mult_map(B, 1).matmul(mult_map(A, 0)).is_zero()
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """The onto_everywhere verdicts of a complex A, B with B*A = 0."""
+
+    left: bool           # A^T onto at every point: A injective at every point
+    right: bool          # B onto at every point
+
+    @property
+    def clean(self) -> bool:
+        return self.left and self.right
+
+    def dual(self) -> "Certificate":
+        """The verdicts of the dual complex B^T, A^T."""
+        return Certificate(self.right, self.left)
+
+
+def certify(A: LinearFormMatrix, B: LinearFormMatrix) -> Certificate:
+    """Check B*A = 0 and take both onto_everywhere proofs, for any number
+    of variables; raises MonadLabError when the composite does not vanish."""
+    if not compose_check(B, A):
+        raise MonadLabError("composite does not vanish; not a monad")
+    return Certificate(onto_everywhere(A.transpose()).full, onto_everywhere(B).full)
 
 
 # ---------------------------------------------------------------------------

@@ -9,18 +9,19 @@ Every scan splits its lines through one path, _ScanContext.split, set up
 once per scan on the scanned monad (alpha, beta).  Write alpha_i, beta_i
 for the coefficient matrices of x_i.
 
-- The composite beta alpha is checked once (exactlin.compose_check): it
-  vanishes iff beta_i alpha_i = 0 for every i and
+- The monad is certified once (exactlin.certify), or refused: the
+  composite beta alpha vanishes iff beta_i alpha_i = 0 for every i and
   beta_i alpha_j + beta_j alpha_i = 0 for every i < j.
-- Two certificates are taken once (exactlin.onto_everywhere): beta is onto
-  at every point of P^n, and alpha^T is onto at every point, that is alpha
-  is injective at every point.  Both hold over the algebraic closure, so
-  they prove every line clean, and no line is checked on its own.  If
-  either fails (a bad reduction, or a sheaf that is not locally free),
-  every line is restricted and checked by pencil.line_status: a line
-  where either map drops rank somewhere is counted as degenerate, so a
-  prime where the reduction is not a monad at some points only loses the
-  lines through those points.
+- The certificate's two proofs say that beta is onto at every point of
+  P^n, and alpha^T too, that is alpha is injective at every point.  Both
+  hold over the algebraic closure, so they prove every line clean: no line
+  is checked on its own, and a restricted line takes the scan's
+  certificate instead of proving its own.  If either fails (a bad
+  reduction, or a sheaf that is not locally free), every line is
+  restricted and checked by pencil.line_status: a line where either map
+  drops rank somewhere is counted as degenerate, so a prime where the
+  reduction is not a monad at some points only loses the lines through
+  those points.
 - When c1 = 0 (v = v'), a clean line L through the points p0, p1 restricts
   to a monad on P1 whose one differential at twist -1 is
   J(L) = beta(p1) alpha(p0) (cohomology.complex_cohomology), so
@@ -59,8 +60,7 @@ from operator import mul
 from . import pointwise
 from ._seeds import seed_of_text
 from .errors import MonadLabError, NotLocallyFreeError
-from .exactlin import (QQ, DenseMatrix, PrimeField, _echelon, compose_check,
-                       onto_everywhere)
+from .exactlin import QQ, DenseMatrix, PrimeField, _echelon, certify
 from .monad import COEFF_BOUND, SpecialMonad, invariants, to_prime_field
 from .pencil import Line, check_line, line_status, restrict, splitting_type
 
@@ -130,18 +130,16 @@ class _ScanContext:
     split(line) returns (status, splitting parts or None) for a line of M.
     """
 
-    __slots__ = ("M", "rank", "clean_everywhere", "jump_cells")
+    __slots__ = ("M", "rank", "certificate", "jump_cells")
 
     def __init__(self, M: SpecialMonad):
         self.M = M
         self.rank = M.w - M.v - M.v_prime
-        composite = compose_check(M.beta, M.alpha)
-        self.clean_everywhere = (composite and onto_everywhere(M.beta).full
-                                 and onto_everywhere(M.alpha.transpose()).full)
+        self.certificate = certify(M.alpha, M.beta)
         # jump_cells[r][c] lists entry (r, c) of beta_j alpha_i, i < j in the
         # order of Line.minors, so J(L)[r][c] is its dot product with them
         self.jump_cells = None
-        if composite and M.v == M.v_prime:
+        if M.v == M.v_prime:
             a, b = M.alpha.coeffs, M.beta.coeffs
             terms = [b[j].matmul(a[i]).data
                      for i, j in combinations(range(M.alpha.nvars), 2)]
@@ -159,15 +157,15 @@ class _ScanContext:
 
     def split(self, line: Line):
         check_line(self.M, line)
-        pc = None
-        if not self.clean_everywhere:
+        clean = self.certificate.clean
+        if not clean:
             pc = restrict(self.M, line)
             if not line_status(pc).clean:
                 return ("degenerate", None)
         if self.jump_cells is not None and not self._jumps(line):
             return ("clean", (0,) * self.rank)
-        if pc is None:
-            pc = restrict(self.M, line)
+        if clean:
+            pc = restrict(self.M, line, self.certificate)
         return ("clean", splitting_type(pc).parts)
 
 

@@ -9,7 +9,8 @@ of binary linear forms.  When the line is clean, that is the left pencil
 keeps full column rank and the right pencil full row rank at every point
 of the line, the pencil is a monad on P1 and computes the restricted
 sheaf.  Each condition is one rank (exactlin.onto_everywhere, applied to
-the right pencil and to the transpose of the left one; see line_status).  Its
+the right pencil and to the transpose of the left one); exactlin.certify
+takes both, with the composite check, once per pencil (see line_status).  Its
 twist cohomology is the n = 1 case of cohomology.complex_cohomology: Serre
 duality gives the H^1 ranks, and the single differential d_2 = B_t A_s
 acts at twist -1.  The splitting type is then reconstructed from the
@@ -22,19 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 
-from .errors import (
-    AlphaDegenerateError,
-    MonadLabError,
-    ReconstructionError,
-    ShapeMismatchError,
-)
+from .errors import AlphaDegenerateError, ReconstructionError, ShapeMismatchError
 from .cohomology import complex_cohomology
-from .exactlin import (
-    LinearFormMatrix,
-    compose_check,
-    generically_injective,
-    onto_everywhere,
-)
+from .exactlin import Certificate, LinearFormMatrix, certify, generically_injective
 from .monad import SpecialMonad
 
 
@@ -79,25 +70,24 @@ class Line:
 
 
 class PencilComplex:
-    """A monad restricted to a line: two pencils of scalar matrices."""
+    """A monad restricted to a line: two pencils of scalar matrices, and
+    their exactlin.certify, taken here unless the caller passes it."""
 
-    __slots__ = ("field", "v", "w", "v_prime", "A", "B", "_status")
+    __slots__ = ("field", "v", "w", "v_prime", "A", "B", "certificate")
 
-    def __init__(self, A: LinearFormMatrix, B: LinearFormMatrix):
+    def __init__(self, A: LinearFormMatrix, B: LinearFormMatrix,
+                 certificate: Certificate | None = None):
         if A.nvars != 2 or B.nvars != 2:
             raise ShapeMismatchError("pencil matrices live in two parameters")
         if B.ncols != A.nrows or A.field != B.field:
             raise ShapeMismatchError("pencil shapes or fields disagree")
-        if not compose_check(B, A):
-            raise MonadLabError("pencil composite does not vanish; the source "
-                                "complex is not a monad")
+        self.certificate = certificate or certify(A, B)
         self.field = A.field
         self.A = A
         self.B = B
         self.v = A.ncols
         self.w = A.nrows
         self.v_prime = B.nrows
-        self._status = None
 
     @property
     def rank(self) -> int:
@@ -119,13 +109,19 @@ def check_line(M: SpecialMonad, line: Line) -> None:
         raise ShapeMismatchError("line lives in a different projective space")
 
 
-def restrict(M: SpecialMonad, line: Line) -> PencilComplex:
-    """Restrict a monad to a line by evaluating the forms at the two points."""
+def restrict(M: SpecialMonad, line: Line,
+             certificate: Certificate | None = None) -> PencilComplex:
+    """Restrict a monad to a line by evaluating the forms at the two points.
+
+    certificate is M's exactlin.certify, if the caller has it.  A clean one
+    holds on every line, so the pencil takes it; otherwise the pencil
+    certifies itself.
+    """
     check_line(M, line)
     p0, p1 = line.points
     A = LinearFormMatrix(M.field, M.w, M.v, 2, [M.alpha.at(p0), M.alpha.at(p1)])
     B = LinearFormMatrix(M.field, M.v_prime, M.w, 2, [M.beta.at(p0), M.beta.at(p1)])
-    return PencilComplex(A, B)
+    return PencilComplex(A, B, certificate if certificate and certificate.clean else None)
 
 
 @dataclass
@@ -141,30 +137,24 @@ class LineStatus:
 def line_status(pc: PencilComplex) -> LineStatus:
     """Clean iff both maps keep full rank at every point of the line.
 
-    Decided exactly, over the algebraic closure of the whole line, by
-    exactlin.onto_everywhere: the right map O^w -> O(1)^v' must be onto at
-    every point, and the left map O(-1)^v -> O^w injective at every point,
-    that is its transpose O^w -> O(1)^v onto.  A failing left map drops
-    rank on the whole line iff it is not injective as a sheaf map, one more
-    rank (exactlin.generically_injective).  The verdict is cached on the
-    pencil.
+    Decided exactly, over the algebraic closure of the whole line, by the
+    pencil's certificate (exactlin.certify): the right map O^w -> O(1)^v'
+    must be onto at every point, and the left map O(-1)^v -> O^w injective
+    at every point, that is its transpose O^w -> O(1)^v onto.  No rank is
+    taken here, except for a failing left map: it drops rank on the whole
+    line iff it is not injective as a sheaf map, one more rank
+    (exactlin.generically_injective) that phrases the note.
     """
-    if pc._status is not None:
-        return pc._status
-    v = pc.v
-    if not onto_everywhere(pc.A.transpose()).full:
+    cert = pc.certificate
+    if not cert.left:
         if not generically_injective(pc.A).full:
             note = "left map drops rank identically on the line"
         else:
             note = "left map drops rank at a point of the line"
-        status = LineStatus(False, note, "left")
-    elif not onto_everywhere(pc.B).full:
-        status = LineStatus(False, "right map drops rank at a point of the line",
-                            "right")
-    else:
-        status = LineStatus(True, "empty left map" if v == 0 else "")
-    pc._status = status
-    return status
+        return LineStatus(False, note, "left")
+    if not cert.right:
+        return LineStatus(False, "right map drops rank at a point of the line", "right")
+    return LineStatus(True, "empty left map" if pc.v == 0 else "")
 
 
 def p1_cohomology(pc: PencilComplex, k: int) -> tuple[int, int]:
@@ -189,7 +179,7 @@ def dual_pencil(pc: PencilComplex) -> PencilComplex:
                          [pc.B.coeffs[0].transpose(), pc.B.coeffs[1].transpose()])
     B = LinearFormMatrix(pc.field, pc.v, pc.w, 2,
                          [pc.A.coeffs[0].transpose(), pc.A.coeffs[1].transpose()])
-    return PencilComplex(A, B)
+    return PencilComplex(A, B, pc.certificate.dual())
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,13 @@ When the short side of the matrix is a single column or row the locus is
 a linear subspace and the dimension is exact.  Otherwise each level is
 decided by one rank: the matrix is injective at every point of a linear
 subspace iff its transpose, restricted there, is onto at every point
-(exactlin.onto_everywhere).  The scan restricts to random subspaces P^e
-for e = 0, 1, ..., n, rational over the matrix's own field.  A slice that
-misses the locus proves exactly that the locus has dimension < n - e; a
-level whose random slices all meet it suggests dimension >= n - e, a
-Monte-Carlo lower bound.  At e = n the slice is all of P^n, so an empty or
-finite locus is exact and larger loci are Monte-Carlo.
+(exactlin.onto_everywhere).  All of P^n is decided first, so an empty
+locus takes one rank.  Otherwise the scan restricts to random subspaces
+P^e for e = 0, 1, ..., n-1, rational over the matrix's own field.  A slice
+that misses the locus proves exactly that the locus has dimension < n - e;
+a level whose random slices all meet it suggests dimension >= n - e, a
+Monte-Carlo lower bound.  An empty or finite locus is exact and larger
+loci are Monte-Carlo.
 """
 
 from __future__ import annotations
@@ -112,13 +113,15 @@ def degeneracy_dim(L: LinearFormMatrix,
                    budget: DegeneracyBudget | None = None) -> DegeneracyResult:
     """Dimension of the locus where L drops below full (short-side) rank.
 
-    Exact when the short side is at most 1.  Otherwise one loop over slice
-    dimensions e = 0, ..., n: at level e, up to `slices` random P^e are
-    tried, and the first whose restriction passes exactlin.onto_everywhere
-    rules out dimension >= n - e exactly.  The first level where every
-    slice meets the locus gives dim = n - e.  The slice at e = n is all of
-    P^n, so "empty" and dimension 0 are exact; larger dimensions are
-    Monte-Carlo lower bounds under an exact upper bound.
+    Exact when the short side is at most 1.  Otherwise the whole of P^n
+    is tried first: if the transpose passes exactlin.onto_everywhere there,
+    the locus is empty, exactly, and no slice is needed.  If not, one loop
+    over slice dimensions e = 0, ..., n-1: at level e, up to `slices`
+    random P^e are tried, and the first whose restriction passes
+    onto_everywhere rules out dimension >= n - e exactly.  The first level
+    where every slice meets the locus gives dim = n - e; if no level does,
+    the failed proof on P^n gives dimension 0, exactly.  Dimensions above 0
+    are Monte-Carlo lower bounds under an exact upper bound.
     """
     budget = budget or DegeneracyBudget()
     if budget.slices < 1:
@@ -134,28 +137,25 @@ def degeneracy_dim(L: LinearFormMatrix,
     n = T.nvars - 1
     field = T.field
     prime = field.p if field.kind == "Fp" else budget.prime
+    whole = onto_everywhere(T.transpose(), prime)
+    whole_method = _method("onto_rank", prime, budget.slices, n, whole)
+    if whole.full:
+        return DegeneracyResult("empty", None, whole_method,
+                                note=f"full rank at every point: {whole}")
     rng = rng_for("degeneracy", budget.seed)
-    for e in range(n + 1):
-        for _ in range(1 if e == n else budget.slices):
-            if e == n:
-                S = T.transpose()          # the slice at e = n is all of P^n
-            else:
-                S = _slice(T, _random_span(rng, field, n + 1, e + 1))
-            proof = onto_everywhere(S, prime)
+    for e in range(n):
+        for _ in range(budget.slices):
+            proof = onto_everywhere(_slice(T, _random_span(rng, field, n + 1, e + 1)),
+                                    prime)
             if proof.full:
                 break
         else:
-            method = _method("onto_rank" if e == n else "slice_scan",
-                             prime, budget.slices, e, proof)
-            if e == n:
-                note = f"the locus is not empty: {proof}"
-            else:
-                note = (f"all {budget.slices} random P^{e} slices meet the "
-                        f"locus, the last with {proof}")
-            return DegeneracyResult("dim", n - e, method, note=note)
-    return DegeneracyResult("empty", None,
-                            _method("onto_rank", prime, budget.slices, n, proof),
-                            note=f"full rank at every point: {proof}")
+            return DegeneracyResult(
+                "dim", n - e, _method("slice_scan", prime, budget.slices, e, proof),
+                note=(f"all {budget.slices} random P^{e} slices meet the "
+                      f"locus, the last with {proof}"))
+    return DegeneracyResult("dim", 0, whole_method,
+                            note=f"the locus is not empty: {whole}")
 
 
 def _method(kind: str, prime: int, slices: int, level: int, proof) -> dict:

@@ -49,6 +49,38 @@ class ReferenceScan:
         return ("clean", splitting_type(pc).parts)
 
 
+def reference_compose_check(B, A) -> bool:
+    """Whether B*A vanishes as a matrix of quadrics, coefficient by
+    coefficient: B_t A_t = 0 for every t and B_s A_t + B_t A_s = 0 for
+    s < t, as monadlab's compose_check decided it before it took one
+    product of multiplication maps."""
+    m = B.nvars
+    for s in range(m):
+        for t in range(s, m):
+            st = B.coeffs[s].matmul(A.coeffs[t]).data
+            ts = B.coeffs[t].matmul(A.coeffs[s]).data if s != t else None
+            rows = st if ts is None else [[a + b for a, b in zip(r1, r2)]
+                                          for r1, r2 in zip(st, ts)]
+            if any(x for row in B.field.reduce(rows) for x in row):
+                return False
+    return True
+
+
+def reference_twist(M, k):
+    """(h^0, ..., h^n) of E(k) with every rank eliminated and no proof taken.
+
+    monadlab's twist_cohomology before it became a column of
+    cohomology_table: the composite check, then each rank of
+    cohomology.complex_cohomology computed, none taken in closed form.
+    """
+    from monadlab.cohomology import _twist_column
+    from monadlab.errors import MonadLabError
+    from monadlab.exactlin import compose_check
+    if not compose_check(M.beta, M.alpha):
+        raise MonadLabError("composite does not vanish; not a monad")
+    return _twist_column(M, k)
+
+
 def _rref(field, rows, ncols):
     """Reduced row echelon form in place; returns the pivot column list.
 

@@ -267,6 +267,18 @@ def test_jumping_scan_warns_about_degenerate_lines(capsys, tmp_path, lf_path):
                    "mod 7; the reduction is not a monad at some points\n")
 
 
+def test_tables_refuse_a_bad_reduction(capsys, tmp_path):
+    # mod 7 the right map of this monad is not onto at every point, so the
+    # reduction is not a monad: every table refuses it
+    from monadlab import encode, random_monad, to_prime_field
+    path = tmp_path / "bad7.json"
+    path.write_bytes(encode(to_prime_field(random_monad(2, 6, 2, seed=3), 7)))
+    for command in ("cohomology", "admissible", "stability"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (1, ""), command
+        assert err == "monadlab: right map is not onto at every point; not a monad\n"
+
+
 def test_jumping_scan_at_prime_2(capsys, tmp_path):
     # beta mod 2 of this monad drops rank at all 15 points of P3(F_2), so
     # every line is degenerate; deciding that takes no interpolation points

@@ -1,15 +1,17 @@
 """Closed-form twist ranks against the all-ranks path.
 
 cohomology_table and p1_cohomology take most ranks in closed form from
-two onto_everywhere proofs.  twist_cohomology, and complex_cohomology
-called without proofs, eliminate every rank; that path is the reference
-here.  On every monad of the corpus the two must agree column by column,
-and where the reference raises, the table must raise the same error.
+two onto_everywhere proofs.  oracles.reference_twist, and
+complex_cohomology called without proofs, eliminate every rank; that path
+is the reference here.  On every monad of the corpus the two must agree
+column by column, and where the reference raises, the table must raise
+the same error.
 
 The corpus covers each path: both proofs (locally-free sheaves), a failed
 left-map proof (the torsion-free and reflexive examples and their sums),
-a failed right-map proof (a bad reduction), empty maps, P2 and F_p monads,
-and windows wide enough to reach the closed forms far from the core.
+a failed right-map proof (a bad reduction, which the table refuses),
+empty maps, P2 and F_p monads, and windows wide enough to reach the
+closed forms far from the core.
 """
 
 import itertools
@@ -29,13 +31,13 @@ from monadlab import (
     restrict,
     to_prime_field,
     trivial_monad,
-    twist_cohomology,
 )
 from monadlab.cohomology import complex_cohomology
 from monadlab.exactlin import onto_everywhere
 from monadlab.lines_scan import sample_line
 from monadlab.pencil import line_status, p1_cohomology
 
+from oracles import reference_twist
 from test_acceptance import EXAMPLES, _fifty_random_monads
 from test_scalars import GOLDEN_MONADS, _field
 
@@ -43,11 +45,11 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 
 def _all_ranks(M, k_min, k_max):
-    """Columns by twist_cohomology, stopping at the first error message."""
+    """Columns by reference_twist, stopping at the first error message."""
     cols = []
     for k in range(k_min, k_max + 1):
         try:
-            cols.append(twist_cohomology(M, k))
+            cols.append(reference_twist(M, k))
         except MonadLabError as exc:
             return cols, str(exc)
     return cols, None
@@ -99,12 +101,15 @@ def test_larger_monads(dims):
 
 
 def test_bad_reduction_keeps_every_rank():
-    # mod 7 the right map of this monad drops rank, so no closed form
-    # applies; the all-ranks path stops at an Euler mismatch, and so must
-    # the table
+    # mod 7 the right map of this monad drops rank, so the reduction is not
+    # a monad: the all-ranks path stops at an Euler mismatch, and the table
+    # refuses it before any rank
     M = to_prime_field(random_monad(2, 6, 2, seed=3), 7)
     assert not onto_everywhere(M.beta).full
-    assert_table_matches(M, -6, 2)
+    assert _all_ranks(M, -6, 2)[1].startswith("Euler characteristic mismatch")
+    with pytest.raises(MonadLabError,
+                       match="right map is not onto at every point; not a monad"):
+        cohomology_table(M, -6, 2)
 
 
 @pytest.mark.parametrize("dims,seed,fname,ambient,window", [

@@ -124,14 +124,14 @@ def _count(monkeypatch, module, name):
 def test_a_certified_scan_restricts_only_its_jumping_lines(monkeypatch):
     M = random_monad(2, 8, 2, seed=1)
     cls = classify(M)
-    assert _ScanContext(to_prime_field(M, 101)).clean_everywhere
+    assert _ScanContext(to_prime_field(M, 101)).certificate.clean
     restricts = _count(monkeypatch, pencil, "restrict")
     composites = _count(monkeypatch, exactlin, "compose_check")
     rep = jumping_scan(M, 101, 1000, seed=0, classification=cls)
     assert rep.jumping > 0 and rep.degenerate == 0
     assert len(restricts) == rep.jumping
-    # one for the scan, then one per restricted pencil
-    assert len(composites) == 1 + rep.jumping
+    # one for the scan; a restricted pencil takes the scan's certificate
+    assert len(composites) == 1
     # a certified scan skips restrict, but not its refusal of a foreign line
     foreign = Line.from_points(GF(7), [1, 0, 0, 0], [0, 1, 0, 0])
     with pytest.raises(ShapeMismatchError, match="different fields"):
@@ -168,7 +168,7 @@ def test_a_bad_reduction_falls_back_to_line_status(monkeypatch):
     # mod 5 the right map of this monad drops rank at a few points
     M = random_monad(2, 6, 2, seed=3)
     cls = classify(M)
-    assert not _ScanContext(to_prime_field(M, 5)).clean_everywhere
+    assert not _ScanContext(to_prime_field(M, 5)).certificate.clean
     restricts = _count(monkeypatch, pencil, "restrict")
     rep = jumping_scan(M, 5, 300, seed=7, classification=cls)
     assert rep.degenerate > 0
