@@ -1,0 +1,191 @@
+"""Byte-golden CLI corpus: every report pinned by the hashes of its bytes.
+
+Each case runs cli.main in process on one input and pins
+sha256(stdout)[:16], sha256(stderr)[:16] and the exit code.  A change
+that keeps every report byte-identical passes unchanged; a change to any
+report, error text or exit code shows here, case by case.
+
+The inputs are the three examples; a fractional copy of the locally-free
+one (row 0 of alpha divided by 7, column 0 of beta multiplied by 7, an
+isomorphic monad whose coefficients are not all integers); the random
+monads (2,6,2) seed 0 and (2,8,2) seed 1 over Q; a (1,4,1) on P2; and the
+reduction mod 7 of (2,6,2) seed 3, which is not a monad.
+
+To print the table for the current code:
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from fractions import Fraction
+
+import pytest
+
+from monadlab.cli import main
+from monadlab.monad import encode, example_monad, random_monad, to_prime_field
+
+# (name, argv with {name} standing for an input file) -> digests
+CASES = [
+    ("validate-tf", "validate {tf} --format json"),
+    ("validate-lf", "validate {lf} --format json"),
+    ("validate-rf", "validate {rf} --format json"),
+    ("validate-lf7", "validate {lf7} --format json"),
+    ("validate-s1", "validate {s1} --format json"),
+    ("validate-p2", "validate {p2} --format json"),
+    ("validate-bad7", "validate {bad7} --format json"),
+    ("classify-tf", "classify {tf} --format json"),
+    ("classify-lf", "classify {lf} --format json"),
+    ("classify-rf", "classify {rf} --format json"),
+    ("classify-lf7", "classify {lf7} --format json"),
+    ("classify-s0", "classify {s0} --format json"),
+    ("classify-p2", "classify {p2} --format json"),
+    ("classify-bad7", "classify {bad7} --format json"),
+    ("invariants-lf", "invariants {lf}"),
+    ("invariants-lf7", "invariants {lf7}"),
+    ("invariants-p2", "invariants {p2} --format json"),
+    ("cohomology-lf", "cohomology {lf} --kmin -7 --kmax 3 --format json"),
+    ("cohomology-lf7", "cohomology {lf7} --kmin -7 --kmax 3 --format json"),
+    ("cohomology-s0", "cohomology {s0} --kmin -7 --kmax 3 --format json"),
+    ("cohomology-p2", "cohomology {p2} --kmin -7 --kmax 3 --format json"),
+    ("cohomology-bad7", "cohomology {bad7} --kmin -7 --kmax 3 --format json"),
+    ("admissible-lf7", "admissible {lf7}"),
+    ("admissible-s0", "admissible {s0}"),
+    ("stability-lf7", "stability {lf7}"),
+    ("stability-s0", "stability {s0}"),
+    ("dualize-lf7", "dualize {lf7}"),
+    ("dualize-tf", "dualize {tf}"),
+    ("restrict-lf7", "restrict {lf7} --seed 3 --index 5"),
+    ("restrict-s1", "restrict {s1} --points 1/2,0,1,0;0,3,0,-1/3"),
+    ("splitting-lf7", "splitting {lf7} --seed 1 --index 2"),
+    ("splitting-s1", "splitting {s1} --seed 3 --index 0"),
+    ("splitting-p2", "splitting {p2} --seed 0 --index 4"),
+    ("splitting-tf", "splitting {tf} --points 0,0,1,0;0,0,0,1"),
+    ("jumping-lf7-101", "jumping-scan {lf7} --prime 101 --samples 300 --seed 2"),
+    ("jumping-s1-101", "jumping-scan {s1} --prime 101 --samples 300"),
+    ("jumping-s0-7", "jumping-scan {s0} --prime 7 --samples 300"),
+    ("jumping-bad7-7", "jumping-scan {bad7} --prime 7 --samples 300"),
+    ("uniformity-lf7", "uniformity {lf7} --samples 25"),
+    ("uniformity-s0", "uniformity {s0} --samples 10 --seed 1"),
+    ("codim-lf7", "codim-evidence {lf7} --primes 101,103 --samples 300 --format csv"),
+    ("generate-q", "generate --dims 2,6,2 --seed 0"),
+    ("generate-f7", "generate --dims 2,6,2 --seed 3 --field Fp:7"),
+    ("generate-p2", "generate --dims 1,4,1 --seed 0 --ambient 2"),
+]
+
+GOLDEN = {
+    'validate-tf': ('fcba5a26adf321fb', 'e3b0c44298fc1c14', 0),
+    'validate-lf': ('fcba5a26adf321fb', 'e3b0c44298fc1c14', 0),
+    'validate-rf': ('ac4e6b34dfa86bf4', 'e3b0c44298fc1c14', 0),
+    'validate-lf7': ('fcba5a26adf321fb', 'e3b0c44298fc1c14', 0),
+    'validate-s1': ('465459194b50849a', 'e3b0c44298fc1c14', 0),
+    'validate-p2': ('4904a063a53a3f0a', 'e3b0c44298fc1c14', 0),
+    'validate-bad7': ('1326c61dd4d8305b', '215a89ae203e36e9', 1),
+    'classify-tf': ('756b7ecf269d4363', 'e3b0c44298fc1c14', 0),
+    'classify-lf': ('684866d13532789c', 'e3b0c44298fc1c14', 0),
+    'classify-rf': ('17c1170bb76faa97', 'e3b0c44298fc1c14', 0),
+    'classify-lf7': ('684866d13532789c', 'e3b0c44298fc1c14', 0),
+    'classify-s0': ('f5aa2238c8f7ee79', 'e3b0c44298fc1c14', 0),
+    'classify-p2': ('684866d13532789c', 'e3b0c44298fc1c14', 0),
+    'classify-bad7': ('304234bff747b2d0', 'e3b0c44298fc1c14', 0),
+    'invariants-lf': ('5b7f3e9cf910f541', 'e3b0c44298fc1c14', 0),
+    'invariants-lf7': ('5b7f3e9cf910f541', 'e3b0c44298fc1c14', 0),
+    'invariants-p2': ('75849dfdff052e6e', 'e3b0c44298fc1c14', 0),
+    'cohomology-lf': ('a29546192fc3d59f', 'e3b0c44298fc1c14', 0),
+    'cohomology-lf7': ('a29546192fc3d59f', 'e3b0c44298fc1c14', 0),
+    'cohomology-s0': ('7ebd41b7c7816970', 'e3b0c44298fc1c14', 0),
+    'cohomology-p2': ('878c2fea8a1b52d1', 'e3b0c44298fc1c14', 0),
+    'cohomology-bad7': ('e3b0c44298fc1c14', '50fe74f186ecaecb', 1),
+    'admissible-lf7': ('75fcbad593c3935c', 'e3b0c44298fc1c14', 0),
+    'admissible-s0': ('75fcbad593c3935c', 'e3b0c44298fc1c14', 0),
+    'stability-lf7': ('695c2db28ffbf816', 'e3b0c44298fc1c14', 0),
+    'stability-s0': ('695c2db28ffbf816', 'e3b0c44298fc1c14', 0),
+    'dualize-lf7': ('4da6b2168cfca463', 'e3b0c44298fc1c14', 0),
+    'dualize-tf': ('e3b0c44298fc1c14', 'd8bbd6ea2e52f3a0', 1),
+    'restrict-lf7': ('afeb5b8845cf188d', 'e3b0c44298fc1c14', 0),
+    'restrict-s1': ('a5224f2469ce6399', 'e3b0c44298fc1c14', 0),
+    'splitting-lf7': ('fab9c6ed09af4a81', 'e3b0c44298fc1c14', 0),
+    'splitting-s1': ('de656ed0c6f125f0', 'e3b0c44298fc1c14', 0),
+    'splitting-p2': ('efae8e6e841d5608', 'e3b0c44298fc1c14', 0),
+    'splitting-tf': ('60fe61fa36fdaab9', '10f03ce4c62559ee', 1),
+    'jumping-lf7-101': ('754da97ae7671633', 'e3b0c44298fc1c14', 0),
+    'jumping-s1-101': ('92cfa40752e4f36a', 'e3b0c44298fc1c14', 0),
+    'jumping-s0-7': ('d2f2dce3a8ec161d', '4784eaca0510e919', 0),
+    'jumping-bad7-7': ('c320845bba8aa24f', 'c80c1d5a37a903f3', 0),
+    'uniformity-lf7': ('7062a9c0bb5e2641', 'e3b0c44298fc1c14', 0),
+    'uniformity-s0': ('70006983edec8105', 'e3b0c44298fc1c14', 0),
+    'codim-lf7': ('191a44f7d371156f', 'e3b0c44298fc1c14', 0),
+    'generate-q': ('61908cb0755e57f7', 'e3b0c44298fc1c14', 0),
+    'generate-f7': ('23a38a33cec72a7e', 'e3b0c44298fc1c14', 0),
+    'generate-p2': ('336f088271591b1e', 'e3b0c44298fc1c14', 0),
+}
+
+
+def _fractional_lf() -> bytes:
+    obj = json.loads(encode(example_monad("locally-free")))
+    for coeffs in obj["alpha"]:
+        coeffs[0][0] = str(Fraction(coeffs[0][0]) / 7)
+    for coeffs in obj["beta"]:
+        coeffs[0][0] = str(Fraction(coeffs[0][0]) * 7)
+    return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8")
+
+
+def write_inputs(directory) -> dict:
+    monads = {
+        "tf": encode(example_monad("torsion-free")),
+        "rf": encode(example_monad("reflexive")),
+        "lf": encode(example_monad("locally-free")),
+        "lf7": _fractional_lf(),
+        "s0": encode(random_monad(2, 6, 2, seed=0)),
+        "s1": encode(random_monad(2, 8, 2, seed=1)),
+        "p2": encode(random_monad(1, 4, 1, seed=0, ambient_n=2)),
+        "bad7": encode(to_prime_field(random_monad(2, 6, 2, seed=3), 7)),
+    }
+    paths = {}
+    for name, data in monads.items():
+        path = directory / f"{name}.json"
+        path.write_bytes(data)
+        paths[name] = str(path)
+    return paths
+
+
+def run_case(command: str, paths: dict):
+    argv = [part.format(**paths) for part in command.split()]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    def digest(text):
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+    return digest(out.getvalue()), digest(err.getvalue()), code
+
+
+@pytest.fixture(scope="module")
+def paths(tmp_path_factory):
+    return write_inputs(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.mark.parametrize("name,command", CASES, ids=[c[0] for c in CASES])
+def test_cli_bytes_are_pinned(name, command, paths):
+    assert run_case(command, paths) == GOLDEN[name]
+
+
+def test_the_inputs_are_the_described_monads(paths):
+    from monadlab.monad import decode
+    with open(paths["lf7"], "rb") as fh:
+        lf7 = decode(fh.read())
+    assert lf7.alpha.coeffs[0].data[0][0] == Fraction(1, 7)
+    assert lf7.beta.coeffs[1].data[0][0] == -7
+
+
+if __name__ == "__main__":
+    import pathlib
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        ps = write_inputs(pathlib.Path(tmp))
+        sys.stdout.write("GOLDEN = {\n")
+        for name, command in CASES:
+            sys.stdout.write(f"    {name!r}: {run_case(command, ps)!r},\n")
+        sys.stdout.write("}\n")
