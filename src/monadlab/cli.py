@@ -13,10 +13,9 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import cohomology, lines_scan, monad, pencil, pointwise
-from .errors import MonadDecodeError, MonadLabError
+from .errors import MonadDecodeError, MonadLabError, ShapeMismatchError
 from .exactlin import DEFAULT_PRIME, field_from_name
 
 EXIT_OK = 0
@@ -53,20 +52,21 @@ def _load_monad(path: str) -> monad.SpecialMonad:
     return monad.decode(data)
 
 
-def _parse_points(text: str, field):
+def _parse_points(text: str, M) -> pencil.Line:
     try:
         parts = text.split(";")
         if len(parts) != 2:
             raise ValueError("expected two points separated by ';'")
-        pts = [[Fraction(x) for x in part.split(",")] for part in parts]
-    except (ValueError, ZeroDivisionError) as exc:
+        line = pencil.Line.from_points(M.field, *(part.split(",") for part in parts))
+        pencil.check_line(M, line)
+    except (ValueError, ZeroDivisionError, ShapeMismatchError) as exc:
         raise ValueError(f"bad --points {text!r}: {exc}") from exc
-    return pencil.Line.from_points(field, pts[0], pts[1])
+    return line
 
 
 def _line_for(args, M) -> pencil.Line:
     if args.points:
-        return _parse_points(args.points, M.field)
+        return _parse_points(args.points, M)
     return lines_scan.sample_line(args.seed, args.index, M.field, M.ambient_n)
 
 
@@ -90,7 +90,10 @@ def _cmd_generate(args) -> int:
         v, w, vp = (int(x) for x in args.dims.split(","))
     except ValueError as exc:
         raise ValueError(f"bad --dims {args.dims!r}: expected v,w,v'") from exc
-    field = field_from_name(args.field)
+    try:
+        field = field_from_name(args.field)
+    except MonadDecodeError as exc:
+        raise ValueError(f"bad --field {args.field!r}: {exc}") from exc
     M = monad.random_monad(v, w, vp, seed=args.seed, field=field,
                            ambient_n=args.ambient)
     _emit(monad.encode(M).decode("utf-8"), args.out)
@@ -282,9 +285,8 @@ def _cmd_uniformity(args) -> int:
 # parser
 
 
-def _add_common(sp, out=True):
-    if out:
-        sp.add_argument("--out", help="write output to this file instead of stdout")
+def _add_common(sp):
+    sp.add_argument("--out", help="write output to this file instead of stdout")
 
 
 def _add_classify_knobs(sp):

@@ -64,6 +64,7 @@ from .exactlin import LinearFormMatrix, certify, monomial_count, mult_map
 from .monad import SpecialMonad, dualize, invariants
 
 DEFAULT_WINDOW = (-6, 2)
+MAX_TWISTS = 10 ** 4
 
 
 def chi_line_bundle(n: int, d: int) -> int:
@@ -198,10 +199,13 @@ def cohomology_table(M: SpecialMonad, k_min: int, k_max: int) -> CohomologyTable
     The monad is certified once per table (exactlin.certify): the composite
     is checked and both onto_everywhere proofs are taken; see the module
     docstring for the ranks they fix.  A right map that is not onto at
-    every point is refused, since the complex is then not a monad.
+    every point is refused, since the complex is then not a monad.  An
+    empty window, or one wider than MAX_TWISTS, is refused before any rank.
     """
     if k_min > k_max:
         raise ValueError("empty twist window")
+    if k_max - k_min + 1 > MAX_TWISTS:
+        raise ValueError(f"twist window [{k_min}, {k_max}] exceeds the cap {MAX_TWISTS}")
     cert = certify(M.alpha, M.beta)
     if not cert.right:
         raise MonadLabError("right map is not onto at every point; not a monad")

@@ -1,15 +1,17 @@
 """Exact scalar arithmetic and dense exact linear algebra.
 
 Two computable coefficient fields are supported: the rationals and prime
-fields F_p.  A scalar is a plain Python number: over Q an int or a stdlib
-Fraction, over F_p an int in [0, p).  Loops compute with Python's own
-+, - and *, and hand each finished matrix to field.reduce once: the
-identity over Q, x % p over F_p.  A field object is otherwise only a codec
-(coerce, parse, fmt).  Every elimination is integer elimination, by one
-routine: mod p over F_p, fraction-free (Bareiss) over Z for a matrix over
-Q, its rows first cleared of denominators.  A rank is the number of
-pivots; a kernel is back-substituted from the same echelon form, in
-integers over Q.
+fields F_p.  A scalar is a plain Python number: over F_p an int in
+[0, p), over Q an int when integral and a stdlib Fraction in lowest terms
+otherwise, as QQ.coerce alone decides (a computed Fraction may have
+denominator 1; neither equality nor fmt depends on the type).  Loops
+compute with Python's own +, - and *, and hand each finished matrix to
+field.reduce once: the identity over Q, x % p over F_p.  A field object is
+otherwise only a codec (coerce, parse, fmt).  Every elimination is integer
+elimination, by one routine: mod p over F_p, fraction-free (Bareiss) over
+Z for a matrix over Q, its rows first cleared of denominators.  A rank is
+the number of pivots; a kernel is back-substituted from the same echelon
+form, in integers over Q.
 
 The module also provides monomial bases of the graded pieces of a
 polynomial ring (graded-lex, variable 0 highest), matrices of linear
@@ -59,27 +61,29 @@ def _is_prime(n: int) -> bool:
 
 
 class RationalField:
-    """The field Q. Scalars are ints or Fractions (always in lowest terms)."""
+    """The field Q. A scalar is an int when integral, else a Fraction in lowest terms."""
 
     kind = "Q"
     name = "Q"
 
-    def coerce(self, x) -> Fraction:
-        return Fraction(x)
+    def coerce(self, x) -> int | Fraction:
+        if type(x) is int:
+            return x
+        x = Fraction(x)
+        return x.numerator if x.denominator == 1 else x
 
     def reduce(self, rows):
         """Canonical form of computed rows: rational scalars already are."""
         return rows
 
-    def parse(self, text: str) -> Fraction:
+    def parse(self, text: str) -> int | Fraction:
         try:
-            return Fraction(text.strip())
+            return self.coerce(text.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise MonadDecodeError(f"bad rational scalar {text!r}: {exc}") from exc
 
     def fmt(self, x) -> str:
-        x = Fraction(x)
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+        return str(x)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -105,12 +109,11 @@ class PrimeField:
     def coerce(self, x) -> int:
         if type(x) is int:
             return x % self.p
-        if isinstance(x, Fraction):
-            den = x.denominator % self.p
-            if den == 0:
-                raise ZeroDivisionError(f"denominator of {x} vanishes mod {self.p}")
-            return x.numerator * pow(den, -1, self.p) % self.p
-        return int(x) % self.p
+        x = Fraction(x)
+        den = x.denominator % self.p
+        if den == 0:
+            raise ZeroDivisionError(f"denominator of {x} vanishes mod {self.p}")
+        return x.numerator * pow(den, -1, self.p) % self.p
 
     def reduce(self, rows):
         """Reduce computed integer rows into [0, p), in place; returns rows."""
@@ -122,7 +125,7 @@ class PrimeField:
 
     def parse(self, text: str) -> int:
         try:
-            return self.coerce(Fraction(text.strip()))
+            return self.coerce(text.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise MonadDecodeError(f"bad residue {text!r} mod {self.p}: {exc}") from exc
 
@@ -366,7 +369,7 @@ def _primitive(vec):
     g = gcd(*vec)
     if next(x for x in vec if x) < 0:
         g = -g
-    return [Fraction(x // g) for x in vec]
+    return [x // g for x in vec]
 
 
 rank = DenseMatrix.rank
@@ -720,7 +723,7 @@ def parse_linear_form(text: str, nvars: int):
     names = {f"x{i}": i for i in range(nvars)}
     for i, alias in enumerate(_AXIS_NAMES.get(nvars, ())):
         names[alias] = i
-    coeffs = [Fraction(0)] * nvars
+    coeffs = [0] * nvars
     cleaned = text.replace(" ", "")
     if cleaned in ("", "0"):
         return coeffs
@@ -735,14 +738,14 @@ def parse_linear_form(text: str, nvars: int):
             cur += ch if ch != "+" else ""
     terms.append(cur)
     for term in terms:
-        sign = Fraction(1)
+        sign = 1
         body = term
         while body.startswith("-"):
             sign = -sign
             body = body[1:]
         if "*" in body:
             c_text, var = body.split("*", 1)
-            coeff = sign * Fraction(c_text)
+            coeff = sign * QQ.coerce(c_text)
         else:
             var = body
             coeff = sign

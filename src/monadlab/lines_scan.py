@@ -97,8 +97,6 @@ def sample_line(seed: int, index: int, field, ambient_n: int = 3) -> Line:
             minors = [a[i] * b[j] - a[j] * b[i] for i, j in pairs]
         if any(minors):
             break
-    if not p:
-        a, b, minors = ([QQ.coerce(x) for x in xs] for xs in (a, b, minors))
     return Line(field, (tuple(a), tuple(b)), tuple(minors))
 
 

@@ -236,13 +236,12 @@ def fmt_point(field, point) -> list[str]:
 
 
 def random_point(rng, field, nvars: int):
-    """A random nonzero vector: residues over F_p, the coefficient box over Q."""
+    """A random nonzero vector: residues over F_p, the coefficient box over Q
+    (drawn as low + randrange(n), which is how CPython draws randint)."""
+    n, low = (field.p, 0) if field.kind == "Fp" else (2 * COEFF_BOUND + 1, -COEFF_BOUND)
     while True:
-        if field.kind == "Fp":
-            pt = [rng.randrange(field.p) for _ in range(nvars)]
-        else:
-            pt = [Fraction(rng.randint(-COEFF_BOUND, COEFF_BOUND)) for _ in range(nvars)]
-        if any(x != 0 for x in pt):
+        pt = [low + rng.randrange(n) for _ in range(nvars)]
+        if any(pt):
             return pt
 
 
@@ -412,25 +411,16 @@ def _solve_beta(alpha: LinearFormMatrix, v_prime: int, rng) -> LinearFormMatrix 
     """Random beta with beta*alpha = 0; None when the solution space is trivial."""
     field = alpha.field
     w = alpha.nrows
-    v = alpha.ncols
     nvars = alpha.nvars
     if v_prime == 0:
         return LinearFormMatrix.zeros(field, 0, w, nvars)
-    # Unknowns: one row of beta, laid out as u[t*w + l] = coefficient of x_t
-    # in entry l.  Row j of the constraints: coefficient of x_a x_b in
-    # (beta alpha)[_, j] must vanish.
+    # Unknowns: one row u of beta.  mult_map(alpha^T, 1) maps u to the
+    # quadric coefficients of u*alpha, taking the coefficient of x_t in u[l]
+    # from its column l*nvars + t; laid out as t*w + l, the kernel is as before.
     nunk = nvars * w
-    rows = []
-    for j in range(v):
-        for a in range(nvars):
-            for b in range(a, nvars):
-                row = [0] * nunk
-                for l in range(w):
-                    row[a * w + l] += alpha.coeffs[b].data[l][j]
-                    if a != b:
-                        row[b * w + l] += alpha.coeffs[a].data[l][j]
-                rows.append(row)
-    constraints = DenseMatrix(field, len(rows), nunk, field.reduce(rows))
+    m = exactlin.mult_map(alpha.transpose(), 1)
+    order = [l * nvars + t for t in range(nvars) for l in range(w)]
+    constraints = DenseMatrix(field, m.nrows, nunk, [[row[c] for c in order] for row in m.data])
     kern = constraints.right_kernel()
     if kern.ncols == 0:
         return None

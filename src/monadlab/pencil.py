@@ -175,11 +175,7 @@ def p1_cohomology(pc: PencilComplex, k: int) -> tuple[int, int]:
 
 def dual_pencil(pc: PencilComplex) -> PencilComplex:
     """The pencil of the dual sheaf: transposed matrices, swapped roles."""
-    A = LinearFormMatrix(pc.field, pc.w, pc.v_prime, 2,
-                         [pc.B.coeffs[0].transpose(), pc.B.coeffs[1].transpose()])
-    B = LinearFormMatrix(pc.field, pc.v, pc.w, 2,
-                         [pc.A.coeffs[0].transpose(), pc.A.coeffs[1].transpose()])
-    return PencilComplex(A, B, pc.certificate.dual())
+    return PencilComplex(pc.B.transpose(), pc.A.transpose(), pc.certificate.dual())
 
 
 # ---------------------------------------------------------------------------

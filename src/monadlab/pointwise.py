@@ -35,6 +35,8 @@ from .exactlin import (
     onto_everywhere,
 )
 
+MAX_SLICES = 10 ** 4
+
 LEVELS = ("locally_free", "reflexive", "torsion_free", "coherent_only")
 
 _DISPLAY = {
@@ -121,11 +123,14 @@ def degeneracy_dim(L: LinearFormMatrix,
     onto_everywhere rules out dimension >= n - e exactly.  The first level
     where every slice meets the locus gives dim = n - e; if no level does,
     the failed proof on P^n gives dimension 0, exactly.  Dimensions above 0
-    are Monte-Carlo lower bounds under an exact upper bound.
+    are Monte-Carlo lower bounds under an exact upper bound.  A budget of
+    fewer than 1 or more than MAX_SLICES slices is refused before any rank.
     """
     budget = budget or DegeneracyBudget()
     if budget.slices < 1:
         raise ValueError(f"need at least one slice per level, got {budget.slices}")
+    if budget.slices > MAX_SLICES:
+        raise ValueError(f"slice count {budget.slices} exceeds the cap {MAX_SLICES}")
     T = L if L.nrows >= L.ncols else L.transpose()
     full = T.ncols
     if full == 0:

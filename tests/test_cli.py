@@ -432,3 +432,80 @@ def test_composite_prime_is_a_usage_error(capsys, lf_path):
 def test_empty_window_is_a_usage_error(capsys, lf_path):
     code, _, err = run(capsys, "cohomology", lf_path, "--kmin", "2", "--kmax", "-2")
     assert code == 2
+
+
+@pytest.fixture()
+def no_rank(monkeypatch):
+    """Make every multiplication map and every elimination an error."""
+    from monadlab import exactlin
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a rank was taken before the argument check")
+    monkeypatch.setattr(exactlin, "mult_map", no_work)
+    monkeypatch.setattr(exactlin, "_echelon", no_work)
+
+
+def test_slices_above_the_cap_are_refused_before_any_rank(capsys, tmp_path, no_rank):
+    from monadlab.pointwise import MAX_SLICES
+    tf_path = tmp_path / "tf.json"
+    tf2_path = tmp_path / "tf2.json"
+    run(capsys, "examples", "--name", "torsion-free", "--out", str(tf_path))
+    run(capsys, "dsum", str(tf_path), str(tf_path), "--out", str(tf2_path))
+    for command in ("classify", "stability", "dualize"):
+        for slices in (MAX_SLICES + 1, 10 ** 8):
+            code, out, err = run(capsys, command, str(tf2_path), "--slices", str(slices))
+            assert (code, out) == (2, ""), command
+            assert err == f"monadlab: slice count {slices} exceeds the cap {MAX_SLICES}\n"
+
+
+def test_slices_at_the_cap_are_accepted(capsys, lf_path):
+    from monadlab.pointwise import MAX_SLICES
+    code, out, _ = run(capsys, "classify", lf_path, "--slices", str(MAX_SLICES))
+    assert (code, out) == (0, "LocallyFree (exact)\n")
+
+
+def test_wide_windows_are_refused_before_any_rank(capsys, lf_path, no_rank):
+    from monadlab.cohomology import MAX_TWISTS
+    for command in ("cohomology", "admissible"):
+        for kmin, kmax in ((-5000, 5000), (-7, MAX_TWISTS - 7), (-10 ** 9, 10 ** 9)):
+            code, out, err = run(capsys, command, lf_path,
+                                 "--kmin", str(kmin), "--kmax", str(kmax))
+            assert (code, out) == (2, ""), command
+            assert err == (f"monadlab: twist window [{kmin}, {kmax}] exceeds "
+                           f"the cap {MAX_TWISTS}\n")
+
+
+def test_points_that_are_not_a_line_of_the_monad_are_usage_errors(capsys, lf_path):
+    for points, why in (("1,0,0;0,1,0", "line lives in a different projective space"),
+                        ("1,0,0,0;2,0,0,0", "spanning points are proportional"),
+                        ("1,0,0,0;0,1,0", "spanning points need equal lengths"),
+                        ("1,0,0,0;0,x,0,0", "Invalid literal")):
+        for command in ("restrict", "splitting"):
+            code, out, err = run(capsys, command, lf_path, "--points", points)
+            assert (code, out) == (2, ""), (command, points)
+            assert err.startswith(f"monadlab: bad --points {points!r}: ") and why in err
+
+
+def test_a_point_with_no_residue_is_a_usage_error(capsys, tmp_path):
+    from monadlab import encode, random_monad, to_prime_field
+    path = tmp_path / "m7.json"
+    path.write_bytes(encode(to_prime_field(random_monad(2, 6, 2, seed=1), 7)))
+    code, out, err = run(capsys, "splitting", str(path), "--points", "1/7,0,0,0;0,1,0,0")
+    assert (code, out) == (2, "")
+    assert err.startswith("monadlab: bad --points '1/7,0,0,0;0,1,0,0': ")
+
+
+def test_a_bad_field_names_its_flag(capsys):
+    code, out, err = run(capsys, "generate", "--dims", "2,6,2", "--field", "Fp:4")
+    assert (code, out) == (2, "")
+    assert err == "monadlab: bad --field 'Fp:4': 4 is not prime\n"
+    code, out, err = run(capsys, "generate", "--dims", "2,6,2", "--field", "R")
+    assert (code, out) == (2, "")
+    assert err.startswith("monadlab: bad --field 'R': unknown field")
+
+
+def test_every_subcommand_takes_out(capsys):
+    from monadlab.cli import build_parser
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    for name, parser in sub.choices.items():
+        assert any(a.option_strings == ["--out"] for a in parser._actions), name

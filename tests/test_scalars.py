@@ -1,11 +1,17 @@
 """The scalar contract: plain numbers, native operators, one reduction per matrix.
 
-Two kinds of checks.  The seeded generator is pinned by hashes of its
+Over Q a scalar is an int when it is integral and a Fraction in lowest
+terms otherwise; QQ.coerce and QQ.parse alone decide it, so integral data
+runs without one Fraction operation.  Over F_p it is an int in [0, p).
+
+Three kinds of checks.  The seeded generator is pinned by hashes of its
 canonical bytes, so any change in the arithmetic behind _solve_beta shows.
 Every matrix built over F_p is compared with an independent Fraction
 oracle reduced mod p, on inputs that are negative or >= p, and every
 returned entry must be a canonical residue in [0, p): the elimination
-kernels read entries as they stand.
+kernels read entries as they stand.  Over Q the codec, the decoder, the
+kernels and the generator give ints for integral values, and the
+pipelines on an integral monad do no Fraction arithmetic.
 """
 
 import hashlib
@@ -14,6 +20,7 @@ from fractions import Fraction
 
 import pytest
 
+from monadlab.cohomology import cohomology_table
 from monadlab.exactlin import (
     GF,
     QQ,
@@ -23,8 +30,18 @@ from monadlab.exactlin import (
     monomial_exponents,
     mult_map,
 )
-from monadlab.monad import decode, encode, random_monad
-from monadlab.pencil import Line
+from monadlab.lines_scan import sample_line
+from monadlab.monad import (
+    decode,
+    encode,
+    example_monad,
+    random_monad,
+    random_point,
+    validate,
+)
+from monadlab.pencil import Line, restrict, splitting_type
+from monadlab.pointwise import classify
+from test_cli_golden import _fractional_lf     # lf, alpha row 0 / 7, beta column 0 * 7
 
 # sha256(encode(random_monad(*dims, seed, field, ambient_n)))[:16]
 GOLDEN_MONADS = [
@@ -231,3 +248,78 @@ def test_rational_scalars_stay_exact():
     assert L.at([Fraction(2, 3), 5]).data == [[Fraction(46, 3), -5]]
     line = Line.from_points(QQ, [Fraction(1, 2), 0, 1, 0], [0, 3, 0, Fraction(-1, 3)])
     assert line.plucker() == (Fraction(3, 2), 0, Fraction(-1, 6), -3, 0, Fraction(-1, 3))
+
+
+# ---------------------------------------------------------------------------
+# rationals: ints when integral
+
+
+def _same(got, want):
+    return type(got) is type(want) and got == want
+
+
+@pytest.mark.parametrize("value,want", [
+    (3, 3), (Fraction(6, 3), 2), ("-10/5", -2), (" 7 ", 7), (True, 1),
+    (Fraction(3, 6), Fraction(1, 2)), ("-6/4", Fraction(-3, 2)), (0.25, Fraction(1, 4)),
+])
+def test_coerce_gives_ints_for_integral_values(value, want):
+    assert _same(QQ.coerce(value), want)
+    if isinstance(value, str):
+        assert _same(QQ.parse(value), want)
+
+
+@pytest.mark.parametrize("x", [0, -7, 12345678901234567890, Fraction(-3, 2), Fraction(1, 7)])
+def test_fmt_and_parse_round_trip(x):
+    assert _same(QQ.parse(QQ.fmt(x)), x)
+
+
+def test_a_computed_fraction_with_denominator_one_reads_as_an_int():
+    x = Fraction(1, 2) * 4
+    assert type(x) is Fraction and QQ.fmt(x) == "2" and _same(QQ.parse(QQ.fmt(x)), 2)
+
+
+def _entries(M):
+    return [x for L in (M.alpha, M.beta) for c in L.coeffs for row in c.data for x in row]
+
+
+def test_decode_kernels_and_the_generator_give_ints():
+    entries = _entries(decode(_fractional_lf()))
+    assert [x for x in entries if type(x) is not int] == [Fraction(1, 7)]
+    assert all(type(x) is int for x in _entries(random_monad(2, 8, 2, seed=1)))
+    assert all(type(x) is int for x in _entries(random_monad(2, 7, 1, seed=0)))
+    m = DenseMatrix.from_rows(QQ, [[Fraction(1, 2), 1, 0, 3], [0, Fraction(1, 3), 1, -1]])
+    kern = m.right_kernel()
+    assert kern.ncols == 2 and all(type(x) is int for row in kern.data for x in row)
+    assert m.matmul(kern).is_zero()
+    assert all(type(x) is int for x in random_point(random.Random(0), QQ, 4))
+    line = sample_line(3, 0, QQ)
+    assert all(type(x) is int for x in line.points[0] + line.points[1] + line.minors)
+
+
+_FRACTION_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__")
+
+
+def test_an_integral_monad_does_no_fraction_arithmetic(monkeypatch):
+    M = decode(encode(random_monad(2, 8, 2, seed=1)))
+    line = sample_line(3, 0, QQ)
+    calls = []
+    for name in _FRACTION_OPS:
+        def counting(a, b, _op=getattr(Fraction, name), _name=name):
+            calls.append(_name)
+            return _op(a, b)
+        monkeypatch.setattr(Fraction, name, counting)
+    splitting_type(restrict(M, line))
+    cohomology_table(M, -7, 2)
+    validate(M)
+    classify(M)
+    assert calls == []
+    assert Fraction(1, 2) + 1 == Fraction(3, 2) and calls == ["__add__"]
+
+
+def test_the_fractional_copy_of_lf_reads_as_lf():
+    lf, lf7 = example_monad("locally-free"), decode(_fractional_lf())
+    assert lf7 != lf
+    assert validate(lf7).to_json_obj() == validate(lf).to_json_obj()
+    assert classify(lf7).to_json_obj() == classify(lf).to_json_obj()
+    assert cohomology_table(lf7, -7, 3).to_json_obj() == \
+        cohomology_table(lf, -7, 3).to_json_obj()
