@@ -11,19 +11,36 @@ isomorphic monad whose coefficients are not all integers); the random
 monads (2,6,2) seed 0 and (2,8,2) seed 1 over Q; a (1,4,1) on P2; and the
 reduction mod 7 of (2,6,2) seed 3, which is not a monad.
 
-To print the table for the current code:
+The parser surface is pinned too: --help of the program and of each
+subcommand, and its usage errors.  A command may start with NAME=value
+words, set in the environment for that run alone, as in a shell.  Every
+case runs with COLUMNS=80, the width argparse wraps its text to.  Python
+3.13's argparse wraps the program's usage line differently, so the cases
+that print it have their own digests there (GOLDEN_313).
+
+To print the table for the current code and interpreter, or to check
+every case without pytest (exit 1, naming each mismatch):
 
     PYTHONPATH=src python tests/test_cli_golden.py
+    PYTHONPATH=src python tests/test_cli_golden.py --check
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
+from unittest import mock
 
-import pytest
+try:
+    import pytest
+except ImportError:  # the script form below runs without pytest
+    def _keep(*args, **kwargs):
+        return lambda fn: fn
+    pytest = SimpleNamespace(fixture=_keep, mark=SimpleNamespace(parametrize=_keep))
 
 from monadlab.cli import main
 from monadlab.monad import encode, example_monad, random_monad, to_prime_field
@@ -74,6 +91,18 @@ CASES = [
     ("generate-q", "generate --dims 2,6,2 --seed 0"),
     ("generate-f7", "generate --dims 2,6,2 --seed 3 --field Fp:7"),
     ("generate-p2", "generate --dims 1,4,1 --seed 0 --ambient 2"),
+    ("help", "--help"),
+    *((f"help-{cmd}", f"{cmd} --help") for cmd in (
+        "examples", "generate", "validate", "invariants", "classify", "cohomology",
+        "admissible", "stability", "dualize", "dsum", "restrict", "splitting",
+        "jumping-scan", "codim-evidence", "uniformity")),
+    ("unknown-command", "frobnicate {lf}"),
+    ("no-command", ""),
+    ("classify-unknown-flag", "classify {lf} --frobnicate"),
+    ("cohomology-bad-kmin", "cohomology {lf} --kmin x"),
+    ("badprime-validate", "MONADLAB_PRIME=abc validate {lf}"),
+    ("badprime-help", "MONADLAB_PRIME=abc --help"),
+    ("badprime-jumping", "MONADLAB_PRIME=abc jumping-scan {lf} --samples 20"),
 ]
 
 GOLDEN = {
@@ -121,6 +150,37 @@ GOLDEN = {
     'generate-q': ('61908cb0755e57f7', 'e3b0c44298fc1c14', 0),
     'generate-f7': ('23a38a33cec72a7e', 'e3b0c44298fc1c14', 0),
     'generate-p2': ('336f088271591b1e', 'e3b0c44298fc1c14', 0),
+    'help': ('9c91a4e2f20529d4', 'e3b0c44298fc1c14', 0),
+    'help-examples': ('c9084352015c7c42', 'e3b0c44298fc1c14', 0),
+    'help-generate': ('cf4a8314d2eecf0d', 'e3b0c44298fc1c14', 0),
+    'help-validate': ('0cbdb23f23454291', 'e3b0c44298fc1c14', 0),
+    'help-invariants': ('5f25d7d577a3adda', 'e3b0c44298fc1c14', 0),
+    'help-classify': ('d5ffa39b3033382d', 'e3b0c44298fc1c14', 0),
+    'help-cohomology': ('a50294dc262ce9f7', 'e3b0c44298fc1c14', 0),
+    'help-admissible': ('dfc06cfe0d25b61f', 'e3b0c44298fc1c14', 0),
+    'help-stability': ('f80a93cbbc9fe743', 'e3b0c44298fc1c14', 0),
+    'help-dualize': ('cb05f39d7b158506', 'e3b0c44298fc1c14', 0),
+    'help-dsum': ('292516f7f49680bb', 'e3b0c44298fc1c14', 0),
+    'help-restrict': ('f32bd97f7be3aec9', 'e3b0c44298fc1c14', 0),
+    'help-splitting': ('493c86eb4bdef803', 'e3b0c44298fc1c14', 0),
+    'help-jumping-scan': ('fb47d013e6dd4e19', 'e3b0c44298fc1c14', 0),
+    'help-codim-evidence': ('9f0287a58dd97f87', 'e3b0c44298fc1c14', 0),
+    'help-uniformity': ('1530c0dc334064bf', 'e3b0c44298fc1c14', 0),
+    'unknown-command': ('e3b0c44298fc1c14', 'baad3dbfcf7b2906', 2),
+    'no-command': ('e3b0c44298fc1c14', 'f0011d63a69ce633', 2),
+    'classify-unknown-flag': ('e3b0c44298fc1c14', 'f0ab3db6f3db051c', 2),
+    'cohomology-bad-kmin': ('e3b0c44298fc1c14', '82c1430f8df513d6', 2),
+    'badprime-validate': ('e3b0c44298fc1c14', '53d7023d94f82750', 2),
+    'badprime-help': ('e3b0c44298fc1c14', '53d7023d94f82750', 2),
+    'badprime-jumping': ('e3b0c44298fc1c14', '53d7023d94f82750', 2),
+}
+
+# Python 3.13's argparse wraps the program's usage line differently
+GOLDEN_313 = {
+    'help': ('854c8b30673f3435', 'e3b0c44298fc1c14', 0),
+    'unknown-command': ('e3b0c44298fc1c14', '0996a06aa8c954ed', 2),
+    'no-command': ('e3b0c44298fc1c14', 'd8e5c38e6f593bcf', 2),
+    'classify-unknown-flag': ('e3b0c44298fc1c14', 'c8681c219774ca99', 2),
 }
 
 
@@ -154,8 +214,13 @@ def write_inputs(directory) -> dict:
 
 def run_case(command: str, paths: dict):
     argv = [part.format(**paths) for part in command.split()]
+    env = {"COLUMNS": "80"}
+    while argv and "=" in argv[0]:
+        key, value = argv.pop(0).split("=", 1)
+        env[key] = value
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with mock.patch.dict(os.environ, env), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     def digest(text):
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
@@ -167,9 +232,15 @@ def paths(tmp_path_factory):
     return write_inputs(tmp_path_factory.mktemp("golden"))
 
 
+def expected(name: str):
+    if sys.version_info >= (3, 13) and name in GOLDEN_313:
+        return GOLDEN_313[name]
+    return GOLDEN[name]
+
+
 @pytest.mark.parametrize("name,command", CASES, ids=[c[0] for c in CASES])
 def test_cli_bytes_are_pinned(name, command, paths):
-    assert run_case(command, paths) == GOLDEN[name]
+    assert run_case(command, paths) == expected(name)
 
 
 def test_the_inputs_are_the_described_monads(paths):
@@ -180,12 +251,25 @@ def test_the_inputs_are_the_described_monads(paths):
     assert lf7.beta.coeffs[1].data[0][0] == -7
 
 
-if __name__ == "__main__":
+def _script(check: bool) -> int:
     import pathlib
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:
         ps = write_inputs(pathlib.Path(tmp))
+        got = {name: run_case(command, ps) for name, command in CASES}
+    if not check:
         sys.stdout.write("GOLDEN = {\n")
-        for name, command in CASES:
-            sys.stdout.write(f"    {name!r}: {run_case(command, ps)!r},\n")
+        for name, digests in got.items():
+            sys.stdout.write(f"    {name!r}: {digests!r},\n")
         sys.stdout.write("}\n")
+        return 0
+    bad = [name for name in got if got[name] != expected(name)]
+    for name in bad:
+        print(f"mismatch: {name}: got {got[name]}, pinned {expected(name)}")
+    version = ".".join(map(str, sys.version_info[:3]))
+    print(f"{len(got) - len(bad)} of {len(got)} cases match on Python {version}")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(_script("--check" in sys.argv[1:]))
