@@ -289,8 +289,8 @@ def _add_common(sp):
     sp.add_argument("--out", help="write output to this file instead of stdout")
 
 
-def _add_classify_knobs(sp):
-    sp.add_argument("--prime", type=int, default=_default_prime(),
+def _add_classify_knobs(sp, prime: int):
+    sp.add_argument("--prime", type=int, default=prime,
                     help="modulus of the rank certificates for a monad over Q; "
                          "a deficient rank mod p falls back to Q "
                          "(env MONADLAB_PRIME)")
@@ -299,121 +299,127 @@ def _add_classify_knobs(sp):
     sp.add_argument("--seed", type=int, default=0)
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("examples", "generate", "validate", "invariants", "classify", "cohomology",
+            "admissible", "stability", "dualize", "dsum", "restrict", "splitting",
+            "jumping-scan", "codim-evidence", "uniformity")
+
+
+def build_parser(command: str | None = None, prime: int | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `command` alone; prime defaults to MONADLAB_PRIME."""
+    prime = _default_prime() if prime is None else prime
     parser = argparse.ArgumentParser(
         prog="monadlab",
         description="Exact calculus for special monads on projective space.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # one subcommand alone still names them all in its usage line
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=command and "{" + ",".join(COMMANDS) + "}")
 
-    sp = sub.add_parser("examples", help="emit one of the built-in monads")
-    sp.add_argument("--name", required=True, choices=monad.EXAMPLE_NAMES)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_examples)
+    def add(name, func, help_text):
+        if command not in (None, name):
+            return None
+        sp = sub.add_parser(name, help=help_text)
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("generate", help="seeded random monad with given dims")
-    sp.add_argument("--dims", required=True, help="v,w,v'")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--field", default="Q", help='"Q" or "Fp:<p>"')
-    sp.add_argument("--ambient", type=int, default=3, choices=(2, 3))
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_generate)
+    if sp := add("examples", _cmd_examples, "emit one of the built-in monads"):
+        sp.add_argument("--name", required=True, choices=monad.EXAMPLE_NAMES)
+        _add_common(sp)
 
-    sp = sub.add_parser("validate", help="check the monad conditions")
-    sp.add_argument("monad")
-    sp.add_argument("--format", choices=("human", "json"), default="human")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_validate)
+    if sp := add("generate", _cmd_generate, "seeded random monad with given dims"):
+        sp.add_argument("--dims", required=True, help="v,w,v'")
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--field", default="Q", help='"Q" or "Fp:<p>"')
+        sp.add_argument("--ambient", type=int, default=3, choices=(2, 3))
+        _add_common(sp)
 
-    sp = sub.add_parser("invariants", help="rank and Chern classes")
-    sp.add_argument("monad")
-    sp.add_argument("--format", choices=("human", "json"), default="human")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_invariants)
+    if sp := add("validate", _cmd_validate, "check the monad conditions"):
+        sp.add_argument("monad")
+        sp.add_argument("--format", choices=("human", "json"), default="human")
+        _add_common(sp)
 
-    sp = sub.add_parser("classify", help="regularity of the cohomology sheaf")
-    sp.add_argument("monad")
-    sp.add_argument("--format", choices=("human", "json"), default="human")
-    _add_classify_knobs(sp)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_classify)
+    if sp := add("invariants", _cmd_invariants, "rank and Chern classes"):
+        sp.add_argument("monad")
+        sp.add_argument("--format", choices=("human", "json"), default="human")
+        _add_common(sp)
 
-    sp = sub.add_parser("cohomology", help="twist cohomology table")
-    sp.add_argument("monad")
-    sp.add_argument("--kmin", type=int, default=cohomology.DEFAULT_WINDOW[0])
-    sp.add_argument("--kmax", type=int, default=cohomology.DEFAULT_WINDOW[1])
-    sp.add_argument("--format", choices=("md", "csv", "json"), default="md")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_cohomology)
+    if sp := add("classify", _cmd_classify, "regularity of the cohomology sheaf"):
+        sp.add_argument("monad")
+        sp.add_argument("--format", choices=("human", "json"), default="human")
+        _add_classify_knobs(sp, prime)
+        _add_common(sp)
 
-    sp = sub.add_parser("admissible", help="admissibility vanishing pattern")
-    sp.add_argument("monad")
-    sp.add_argument("--kmin", type=int, default=cohomology.DEFAULT_WINDOW[0])
-    sp.add_argument("--kmax", type=int, default=cohomology.DEFAULT_WINDOW[1])
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_admissible)
+    if sp := add("cohomology", _cmd_cohomology, "twist cohomology table"):
+        sp.add_argument("monad")
+        sp.add_argument("--kmin", type=int, default=cohomology.DEFAULT_WINDOW[0])
+        sp.add_argument("--kmax", type=int, default=cohomology.DEFAULT_WINDOW[1])
+        sp.add_argument("--format", choices=("md", "csv", "json"), default="md")
+        _add_common(sp)
 
-    sp = sub.add_parser("stability", help="semistability/stability verdicts")
-    sp.add_argument("monad")
-    _add_classify_knobs(sp)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_stability)
+    if sp := add("admissible", _cmd_admissible, "admissibility vanishing pattern"):
+        sp.add_argument("monad")
+        sp.add_argument("--kmin", type=int, default=cohomology.DEFAULT_WINDOW[0])
+        sp.add_argument("--kmax", type=int, default=cohomology.DEFAULT_WINDOW[1])
+        _add_common(sp)
 
-    sp = sub.add_parser("dualize", help="dual monad (locally free only)")
-    sp.add_argument("monad")
-    _add_classify_knobs(sp)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_dualize)
+    if sp := add("stability", _cmd_stability, "semistability/stability verdicts"):
+        sp.add_argument("monad")
+        _add_classify_knobs(sp, prime)
+        _add_common(sp)
 
-    sp = sub.add_parser("dsum", help="block-diagonal direct sum")
-    sp.add_argument("left")
-    sp.add_argument("right")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_dsum)
+    if sp := add("dualize", _cmd_dualize, "dual monad (locally free only)"):
+        sp.add_argument("monad")
+        _add_classify_knobs(sp, prime)
+        _add_common(sp)
+
+    if sp := add("dsum", _cmd_dsum, "block-diagonal direct sum"):
+        sp.add_argument("left")
+        sp.add_argument("right")
+        _add_common(sp)
 
     for name, func, help_text in (
         ("restrict", _cmd_restrict, "restrict the monad to a line"),
         ("splitting", _cmd_splitting, "splitting type on a line"),
     ):
-        sp = sub.add_parser(name, help=help_text)
+        if sp := add(name, func, help_text):
+            sp.add_argument("monad")
+            sp.add_argument("--points", help="line as 'a0,a1,a2,a3;b0,b1,b2,b3'")
+            sp.add_argument("--seed", type=int, default=0, help="seed for a sampled line")
+            sp.add_argument("--index", type=int, default=0, help="index of the sampled line")
+            _add_common(sp)
+
+    if sp := add("jumping-scan", _cmd_jumping_scan, "jumping-line statistics mod p"):
         sp.add_argument("monad")
-        sp.add_argument("--points", help="line as 'a0,a1,a2,a3;b0,b1,b2,b3'")
-        sp.add_argument("--seed", type=int, default=0, help="seed for a sampled line")
-        sp.add_argument("--index", type=int, default=0, help="index of the sampled line")
+        sp.add_argument("--prime", type=int, default=prime)
+        sp.add_argument("--samples", type=int, default=2000)
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--emit-lines", help="write one JSON line per sampled line")
         _add_common(sp)
-        sp.set_defaults(func=func)
 
-    sp = sub.add_parser("jumping-scan", help="jumping-line statistics mod p")
-    sp.add_argument("monad")
-    sp.add_argument("--prime", type=int, default=_default_prime())
-    sp.add_argument("--samples", type=int, default=2000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--emit-lines", help="write one JSON line per sampled line")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_jumping_scan)
+    if sp := add("codim-evidence", _cmd_codim_evidence,
+                 "jumping-fraction scaling across primes"):
+        sp.add_argument("monad")
+        sp.add_argument("--primes", default="101,1009", help="comma-separated primes")
+        sp.add_argument("--samples", type=int, default=20000)
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--format", choices=("json", "csv"), default="json")
+        _add_common(sp)
 
-    sp = sub.add_parser("codim-evidence", help="jumping-fraction scaling across primes")
-    sp.add_argument("monad")
-    sp.add_argument("--primes", default="101,1009", help="comma-separated primes")
-    sp.add_argument("--samples", type=int, default=20000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_codim_evidence)
-
-    sp = sub.add_parser("uniformity", help="uniformity evidence from sampled lines")
-    sp.add_argument("monad")
-    sp.add_argument("--samples", type=int, default=50)
-    sp.add_argument("--seed", type=int, default=0)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_uniformity)
+    if sp := add("uniformity", _cmd_uniformity, "uniformity evidence from sampled lines"):
+        sp.add_argument("monad")
+        sp.add_argument("--samples", type=int, default=50)
+        sp.add_argument("--seed", type=int, default=0)
+        _add_common(sp)
 
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        # the parser reads MONADLAB_PRIME, so a bad value is a usage error too
-        args = build_parser().parse_args(argv)
+        # read before parsing, so a bad MONADLAB_PRIME refuses every command
+        prime = _default_prime()
+        command = argv[0] if argv and argv[0] in COMMANDS else None
+        args = build_parser(command, prime).parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE

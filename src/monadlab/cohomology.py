@@ -57,14 +57,13 @@ of that check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 from .errors import MonadLabError
 from .exactlin import LinearFormMatrix, certify, monomial_count, mult_map
 from .monad import SpecialMonad, dualize, invariants
 
 DEFAULT_WINDOW = (-6, 2)
 MAX_TWISTS = 10 ** 4
+MAX_CELLS = 10 ** 7      # largest eliminated matrix of a table: about 4 s and 190 MiB
 
 
 def chi_line_bundle(n: int, d: int) -> int:
@@ -143,14 +142,15 @@ def _twist_column(M: SpecialMonad, k: int, at_onto: bool = False,
     return out
 
 
-@dataclass
 class CohomologyTable:
     """h^p(E(k)) over a twist window; rows indexed by p, columns by k."""
 
-    ambient_n: int
-    k_min: int
-    k_max: int
-    rows: list[list[int]]
+    __slots__ = ("ambient_n", "k_min", "k_max", "rows")
+    def __init__(self, ambient_n: int, k_min: int, k_max: int, rows: list[list[int]]):
+        self.ambient_n = ambient_n
+        self.k_min = k_min
+        self.k_max = k_max
+        self.rows = rows
 
     def entry(self, p: int, k: int) -> int:
         if not (self.k_min <= k <= self.k_max and 0 <= p <= self.ambient_n):
@@ -200,7 +200,8 @@ def cohomology_table(M: SpecialMonad, k_min: int, k_max: int) -> CohomologyTable
     is checked and both onto_everywhere proofs are taken; see the module
     docstring for the ranks they fix.  A right map that is not onto at
     every point is refused, since the complex is then not a monad.  An
-    empty window, or one wider than MAX_TWISTS, is refused before any rank.
+    empty window, one wider than MAX_TWISTS, or one that would eliminate a
+    matrix of more than MAX_CELLS cells is refused before any twist's rank.
     """
     if k_min > k_max:
         raise ValueError("empty twist window")
@@ -209,6 +210,14 @@ def cohomology_table(M: SpecialMonad, k_min: int, k_max: int) -> CohomologyTable
     cert = certify(M.alpha, M.beta)
     if not cert.right:
         raise MonadLabError("right map is not onto at every point; not a monad")
+    if not cert.left:
+        # a_k, a*_j (j = -k-n-1) have v*w*|S_d||S_d+1| cells, d = k-1, j: most at k_max, k_min
+        n = M.ambient_n
+        for k, d in ((k_max, k_max - 1), (k_min, -k_min - n - 1)):
+            cells = M.v * M.w * monomial_count(n + 1, d) * monomial_count(n + 1, d + 1)
+            if cells > MAX_CELLS:
+                raise ValueError(f"twist {k} would eliminate a matrix of {cells} cells, "
+                                 f"over the cap {MAX_CELLS}")
     cols = [_twist_column(M, k, cert.left, True) for k in range(k_min, k_max + 1)]
     rows = [[col[p] for col in cols] for p in range(M.ambient_n + 1)]
     return CohomologyTable(M.ambient_n, k_min, k_max, rows)
@@ -243,12 +252,14 @@ def _vanishing_demanded(n: int, p: int, k: int) -> bool:
     return p + k >= 0
 
 
-@dataclass
 class AdmissibilityReport:
-    ambient_n: int
-    k_min: int
-    k_max: int
-    violations: list[tuple[int, int]]   # (p, k) with nonzero h where 0 demanded
+    __slots__ = ("ambient_n", "k_min", "k_max", "violations")
+    def __init__(self, ambient_n: int, k_min: int, k_max: int,
+                 violations: list[tuple[int, int]]):
+        self.ambient_n = ambient_n
+        self.k_min = k_min
+        self.k_max = k_max
+        self.violations = violations     # (p, k) with nonzero h where 0 demanded
 
     @property
     def passed(self) -> bool:
@@ -289,26 +300,20 @@ def admissibility_check(M: SpecialMonad, window: tuple[int, int] = DEFAULT_WINDO
 # stability
 
 
-@dataclass
 class StabilityReport:
-    rank: int
-    h0: int
-    h0_dual: int | None
-    semistable: str                 # "yes" | "inconclusive"
-    stable: str                     # "yes" | "no" | "inconclusive"
-    criterion: str
-    notes: list[str] = dc_field(default_factory=list)
+    __slots__ = ("rank", "h0", "h0_dual", "semistable", "stable", "criterion", "notes")
+    def __init__(self, rank: int, h0: int, h0_dual: int | None, semistable: str,
+                 stable: str, criterion: str, notes: list[str] | None = None):
+        self.rank = rank
+        self.h0 = h0
+        self.h0_dual = h0_dual
+        self.semistable = semistable     # "yes" | "inconclusive"
+        self.stable = stable             # "yes" | "no" | "inconclusive"
+        self.criterion = criterion
+        self.notes = [] if notes is None else notes
 
     def to_json_obj(self):
-        return {
-            "rank": self.rank,
-            "h0": self.h0,
-            "h0_dual": self.h0_dual,
-            "semistable": self.semistable,
-            "stable": self.stable,
-            "criterion": self.criterion,
-            "notes": self.notes,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 def stability_report(M: SpecialMonad, classification) -> StabilityReport:
@@ -357,12 +362,13 @@ def stability_report(M: SpecialMonad, classification) -> StabilityReport:
 # dual vanishing
 
 
-@dataclass
 class DualVanishingReport:
-    k_min: int
-    k_max: int
-    values: dict[int, int]          # k -> h^0(E*(k))
-    violations: list[int]
+    __slots__ = ("k_min", "k_max", "values", "violations")
+    def __init__(self, k_min: int, k_max: int, values: dict[int, int], violations: list[int]):
+        self.k_min = k_min
+        self.k_max = k_max
+        self.values = values             # k -> h^0(E*(k))
+        self.violations = violations
 
     @property
     def passed(self) -> bool:

@@ -25,7 +25,6 @@ Matrices are dense; the intended scale is a few thousand rows at most.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
@@ -405,13 +404,14 @@ def monomial_count(m: int, d: int) -> int:
     return comb(d + m - 1, m - 1) if d >= 0 else 0
 
 
-@dataclass(frozen=True)
 class MonomialBasis:
-    """Ordered monomial basis of the degree-d piece in m variables."""
+    """Ordered monomial basis of the degree-d piece in m variables; immutable."""
 
-    m: int
-    d: int
-    exponents: tuple[tuple[int, ...], ...]
+    __slots__ = ("m", "d", "exponents")
+    def __init__(self, m: int, d: int, exponents: tuple[tuple[int, ...], ...]):
+        self.m = m
+        self.d = d
+        self.exponents = exponents
 
     def __len__(self):
         return len(self.exponents)
@@ -565,15 +565,16 @@ def mult_map(L: LinearFormMatrix, d: int) -> DenseMatrix:
     return DenseMatrix(L.field, nrows, ncols, data)
 
 
-@dataclass(frozen=True)
 class RankProof:
-    """The one rank that decides onto_everywhere or generically_injective."""
+    """The one rank that decides onto_everywhere or generically_injective; immutable."""
 
-    full: bool           # the rank reaches the target
-    rank: int
-    target: int          # the full rank: rows of an onto map, columns of an injective one
-    shape: tuple[int, int]
-    over: str            # field of the deciding rank: "Q" or "Fp:<p>"
+    __slots__ = ("full", "rank", "target", "shape", "over")
+    def __init__(self, full: bool, rank: int, target: int, shape: tuple[int, int], over: str):
+        self.full = full         # the rank reaches the target
+        self.rank = rank
+        self.target = target     # the full rank: rows of an onto map, columns of an injective one
+        self.shape = shape
+        self.over = over         # field of the deciding rank: "Q" or "Fp:<p>"
 
     def __str__(self):
         rel = "=" if self.full else "<"
@@ -684,12 +685,19 @@ def compose_check(B: LinearFormMatrix, A: LinearFormMatrix) -> bool:
     return mult_map(B, 1).matmul(mult_map(A, 0)).is_zero()
 
 
-@dataclass(frozen=True)
 class Certificate:
-    """The onto_everywhere verdicts of a complex A, B with B*A = 0."""
+    """The onto_everywhere verdicts of a complex A, B with B*A = 0; immutable."""
 
-    left: bool           # A^T onto at every point: A injective at every point
-    right: bool          # B onto at every point
+    __slots__ = ("left", "right")
+    def __init__(self, left: bool, right: bool):
+        self.left = left         # A^T onto at every point: A injective at every point
+        self.right = right       # B onto at every point
+
+    def __eq__(self, other):
+        return isinstance(other, Certificate) and (self.left, self.right) == (other.left, other.right)
+
+    def __hash__(self):
+        return hash((self.left, self.right))
 
     @property
     def clean(self) -> bool:

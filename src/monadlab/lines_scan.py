@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field as dc_field
 from itertools import chain, combinations
 from operator import mul
 
@@ -167,12 +166,14 @@ class _ScanContext:
         return ("clean", splitting_type(pc).parts)
 
 
-@dataclass
 class LineOutcome:
-    index: int
-    line: Line
-    status: str                      # "clean" | "degenerate"
-    splitting: tuple[int, ...] | None
+    __slots__ = ("index", "line", "status", "splitting")
+    def __init__(self, index: int, line: Line, status: str,
+                 splitting: tuple[int, ...] | None):
+        self.index = index
+        self.line = line
+        self.status = status             # "clean" | "degenerate"
+        self.splitting = splitting
 
     @property
     def jumping(self) -> bool | None:
@@ -190,18 +191,23 @@ class LineOutcome:
         }
 
 
-@dataclass
 class ScanReport:
-    monad_id: str
-    field_name: str
-    prime: int | None
-    samples: int
-    seed: int
-    jumping: int
-    degenerate: int
-    spectrum: dict[tuple[int, ...], int]
-    witnesses: list[Line]
-    outcomes: list[LineOutcome] = dc_field(default_factory=list)
+    __slots__ = ("monad_id", "field_name", "prime", "samples", "seed", "jumping",
+                 "degenerate", "spectrum", "witnesses", "outcomes")
+    def __init__(self, monad_id: str, field_name: str, prime: int | None, samples: int,
+                 seed: int, jumping: int, degenerate: int,
+                 spectrum: dict[tuple[int, ...], int], witnesses: list[Line],
+                 outcomes: list[LineOutcome] | None = None):
+        self.monad_id = monad_id
+        self.field_name = field_name
+        self.prime = prime
+        self.samples = samples
+        self.seed = seed
+        self.jumping = jumping
+        self.degenerate = degenerate
+        self.spectrum = spectrum
+        self.witnesses = witnesses
+        self.outcomes = [] if outcomes is None else outcomes
 
     @property
     def fraction(self) -> float:
@@ -265,17 +271,21 @@ def jumping_scan(M: SpecialMonad, prime: int, samples: int, seed: int = 0,
 # trivial splitting type
 
 
-@dataclass
 class TrivialSplittingReport:
-    monad_id: str
-    field_name: str
-    samples: int
-    seed: int
-    certified: bool
-    witness: Line | None
-    spectrum: dict[tuple[int, ...], int]
-    degenerate: int
-    note: str = ""
+    __slots__ = ("monad_id", "field_name", "samples", "seed", "certified", "witness",
+                 "spectrum", "degenerate", "note")
+    def __init__(self, monad_id: str, field_name: str, samples: int, seed: int,
+                 certified: bool, witness: Line | None,
+                 spectrum: dict[tuple[int, ...], int], degenerate: int, note: str = ""):
+        self.monad_id = monad_id
+        self.field_name = field_name
+        self.samples = samples
+        self.seed = seed
+        self.certified = certified
+        self.witness = witness
+        self.spectrum = spectrum
+        self.degenerate = degenerate
+        self.note = note
 
     def to_json_obj(self):
         return {
@@ -325,14 +335,16 @@ def trivial_splitting_test(M: SpecialMonad, samples: int = 10, seed: int = 0) ->
 # codimension evidence
 
 
-@dataclass
 class CodimEvidenceReport:
-    monad_id: str
-    rows: list[dict]                 # per-prime: prime, samples, jumping, fraction
-    exponent: float | None
-    exponent_stderr: float | None
-    tolerance: float
-    verdict: str
+    __slots__ = ("monad_id", "rows", "exponent", "exponent_stderr", "tolerance", "verdict")
+    def __init__(self, monad_id: str, rows: list[dict], exponent: float | None,
+                 exponent_stderr: float | None, tolerance: float, verdict: str):
+        self.monad_id = monad_id
+        self.rows = rows                 # per-prime: prime, samples, jumping, fraction
+        self.exponent = exponent
+        self.exponent_stderr = exponent_stderr
+        self.tolerance = tolerance
+        self.verdict = verdict
 
     def to_json_obj(self):
         return {
@@ -414,17 +426,21 @@ def codim_evidence(M: SpecialMonad, primes, samples: int, seed: int = 0,
 # uniformity
 
 
-@dataclass
 class UniformityReport:
-    monad_id: str
-    field_name: str
-    samples: int
-    seed: int
-    refuted: bool
-    witness: Line | None
-    spectrum: dict[tuple[int, ...], int]
-    degenerate: int
-    notes: list[str]
+    __slots__ = ("monad_id", "field_name", "samples", "seed", "refuted", "witness",
+                 "spectrum", "degenerate", "notes")
+    def __init__(self, monad_id: str, field_name: str, samples: int, seed: int,
+                 refuted: bool, witness: Line | None,
+                 spectrum: dict[tuple[int, ...], int], degenerate: int, notes: list[str]):
+        self.monad_id = monad_id
+        self.field_name = field_name
+        self.samples = samples
+        self.seed = seed
+        self.refuted = refuted
+        self.witness = witness
+        self.spectrum = spectrum
+        self.degenerate = degenerate
+        self.notes = notes
 
     def to_json_obj(self):
         return {

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from . import exactlin
@@ -145,16 +144,18 @@ def trivial_monad(w: int, ambient_n: int = 3, field=QQ) -> SpecialMonad:
 # Chern invariants
 
 
-@dataclass(frozen=True)
 class ChernData:
-    """Rank and Chern data of the cohomology sheaf, determined by (v, w, v')."""
+    """Rank and Chern data of the cohomology sheaf, determined by (v, w, v'); immutable."""
 
-    rank: int
-    c1: int
-    ch2: Fraction
-    c2: int
-    ch3: Fraction | None = None   # None on P2
-    c3: int | None = None
+    __slots__ = ("rank", "c1", "ch2", "c2", "ch3", "c3")
+    def __init__(self, rank: int, c1: int, ch2: Fraction, c2: int,
+                 ch3: Fraction | None = None, c3: int | None = None):
+        self.rank = rank
+        self.c1 = c1
+        self.ch2 = ch2
+        self.c2 = c2
+        self.ch3 = ch3           # None on P2
+        self.c3 = c3
 
     def to_json_obj(self):
         return {
@@ -190,31 +191,29 @@ def invariants(M: SpecialMonad) -> ChernData:
 # validation
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    confidence: str            # "exact" or "monte_carlo"
-    detail: str = ""
-    witness: list[str] | None = None
+    __slots__ = ("name", "passed", "confidence", "detail", "witness")
+    def __init__(self, name: str, passed: bool, confidence: str, detail: str = "",
+                 witness: list[str] | None = None):
+        self.name = name
+        self.passed = passed
+        self.confidence = confidence     # "exact" or "monte_carlo"
+        self.detail = detail
+        self.witness = witness
 
     def to_json_obj(self):
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "confidence": self.confidence,
-            "detail": self.detail,
-            "witness": self.witness,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
-@dataclass
 class ValidationReport:
-    composition: CheckResult
-    beta_surjective: CheckResult
-    alpha_injective: CheckResult
-    rank_zero: bool
-    notes: list[str] = dc_field(default_factory=list)
+    __slots__ = ("composition", "beta_surjective", "alpha_injective", "rank_zero", "notes")
+    def __init__(self, composition: CheckResult, beta_surjective: CheckResult,
+                 alpha_injective: CheckResult, rank_zero: bool, notes: list[str] | None = None):
+        self.composition = composition
+        self.beta_surjective = beta_surjective
+        self.alpha_injective = alpha_injective
+        self.rank_zero = rank_zero
+        self.notes = [] if notes is None else notes
 
     @property
     def overall(self) -> bool:

@@ -20,7 +20,6 @@ measured dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 
 from .errors import AlphaDegenerateError, ReconstructionError, ShapeMismatchError
@@ -29,19 +28,26 @@ from .exactlin import Certificate, LinearFormMatrix, certify, generically_inject
 from .monad import SpecialMonad
 
 
-@dataclass(frozen=True)
 class Line:
-    """A line in P^n, parametrized by two spanning points (rows).
+    """A line in P^n, parametrized by two spanning points (rows); immutable.
 
     minors holds the 2x2 minors pi_ij = a_i b_j - a_j b_i, i < j in
     lexicographic order, of the spanning points a, b: the Plucker
     coordinates of the line.  They follow from the points, so they are not
-    part of the value.
+    part of the value: equality and hash ignore them.
     """
 
-    field: object
-    points: tuple[tuple, ...]
-    minors: tuple = dc_field(compare=False, repr=False)
+    __slots__ = ("field", "points", "minors")
+    def __init__(self, field, points: tuple[tuple, ...], minors: tuple):
+        self.field = field
+        self.points = points
+        self.minors = minors
+
+    def __eq__(self, other):
+        return isinstance(other, Line) and (self.field, self.points) == (other.field, other.points)
+
+    def __hash__(self):
+        return hash((self.field, self.points))
 
     @classmethod
     def from_points(cls, field, p0, p1) -> "Line":
@@ -124,11 +130,12 @@ def restrict(M: SpecialMonad, line: Line,
     return PencilComplex(A, B, certificate if certificate and certificate.clean else None)
 
 
-@dataclass
 class LineStatus:
-    clean: bool
-    note: str = ""
-    degenerate_map: str = ""         # "left" or "right", when not clean
+    __slots__ = ("clean", "note", "degenerate_map")
+    def __init__(self, clean: bool, note: str = "", degenerate_map: str = ""):
+        self.clean = clean
+        self.note = note
+        self.degenerate_map = degenerate_map     # "left" or "right", when not clean
 
     def to_json_obj(self):
         return {"clean": self.clean, "note": self.note}
@@ -182,16 +189,17 @@ def dual_pencil(pc: PencilComplex) -> PencilComplex:
 # splitting type
 
 
-@dataclass(frozen=True)
 class SplittingType:
-    """Non-increasing degrees of the line-bundle summands on the line.
+    """Non-increasing degrees of the line-bundle summands on the line; immutable.
 
     dims maps each twist of the measured window to its (h^0, h^1); it is
     not part of the value.
     """
 
-    parts: tuple[int, ...]
-    dims: dict = dc_field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("parts", "dims")
+    def __init__(self, parts: tuple[int, ...], dims: dict | None = None):
+        self.parts = parts
+        self.dims = {} if dims is None else dims
 
     @property
     def is_trivial(self) -> bool:

@@ -23,8 +23,6 @@ loci are Monte-Carlo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 from . import monad as monad_mod
 from ._seeds import rng_for
 from .exactlin import (
@@ -47,37 +45,33 @@ _DISPLAY = {
 }
 
 
-@dataclass(frozen=True)
 class DegeneracyBudget:
-    """Effort knobs for the slice scan."""
+    """Effort knobs for the slice scan; immutable."""
 
-    prime: int = DEFAULT_PRIME     # modulus of the rank certificates over Q
-    slices: int = 50               # random slices per level before it counts as met
-    seed: int = 0
+    __slots__ = ("prime", "slices", "seed")
+    def __init__(self, prime: int = DEFAULT_PRIME, slices: int = 50, seed: int = 0):
+        self.prime = prime       # modulus of the rank certificates over Q
+        self.slices = slices     # random slices per level before it counts as met
+        self.seed = seed
 
 
-@dataclass
 class DegeneracyResult:
-    kind: str                      # "empty" | "dim"
-    dim: int | None
-    method: dict
-    witness: list[str] | None = None
-    locus_basis: list[list[str]] | None = None
-    note: str = ""
+    __slots__ = ("kind", "dim", "method", "witness", "locus_basis", "note")
+    def __init__(self, kind: str, dim: int | None, method: dict, witness: list[str] | None = None,
+                 locus_basis: list[list[str]] | None = None, note: str = ""):
+        self.kind = kind         # "empty" | "dim"
+        self.dim = dim
+        self.method = method
+        self.witness = witness
+        self.locus_basis = locus_basis
+        self.note = note
 
     @property
     def exact(self) -> bool:
         return self.method.get("kind") in ("exact_linear", "onto_rank")
 
     def to_json_obj(self):
-        return {
-            "kind": self.kind,
-            "dim": self.dim,
-            "method": self.method,
-            "witness": self.witness,
-            "locus_basis": self.locus_basis,
-            "note": self.note,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 def _exact_linear(L: LinearFormMatrix) -> DegeneracyResult:
@@ -169,12 +163,14 @@ def _method(kind: str, prime: int, slices: int, level: int, proof) -> dict:
             "shape": list(proof.shape), "rank": proof.rank, "over": proof.over}
 
 
-@dataclass
 class ClassificationReport:
-    level: str                     # one of LEVELS
-    degeneracy: DegeneracyResult
-    confidence: str                # "exact" | "monte_carlo"
-    warnings: list[str] = dc_field(default_factory=list)
+    __slots__ = ("level", "degeneracy", "confidence", "warnings")
+    def __init__(self, level: str, degeneracy: DegeneracyResult, confidence: str,
+                 warnings: list[str] | None = None):
+        self.level = level               # one of LEVELS
+        self.degeneracy = degeneracy
+        self.confidence = confidence     # "exact" | "monte_carlo"
+        self.warnings = [] if warnings is None else warnings
 
     @property
     def display(self) -> str:

@@ -475,6 +475,17 @@ def test_wide_windows_are_refused_before_any_rank(capsys, lf_path, no_rank):
                            f"the cap {MAX_TWISTS}\n")
 
 
+def test_far_twists_of_a_torsion_free_sheaf_are_refused(capsys, tmp_path):
+    from monadlab.cohomology import MAX_CELLS
+    tf_path = tmp_path / "tf.json"
+    run(capsys, "examples", "--name", "torsion-free", "--out", str(tf_path))
+    for command in ("cohomology", "admissible"):
+        code, out, err = run(capsys, command, str(tf_path), "--kmin", "-6", "--kmax", "30")
+        assert (code, out) == (2, ""), command
+        assert err == ("monadlab: twist 30 would eliminate a matrix of 108247040 cells, "
+                       f"over the cap {MAX_CELLS}\n")
+
+
 def test_points_that_are_not_a_line_of_the_monad_are_usage_errors(capsys, lf_path):
     for points, why in (("1,0,0;0,1,0", "line lives in a different projective space"),
                         ("1,0,0,0;2,0,0,0", "spanning points are proportional"),
@@ -502,6 +513,20 @@ def test_a_bad_field_names_its_flag(capsys):
     code, out, err = run(capsys, "generate", "--dims", "2,6,2", "--field", "R")
     assert (code, out) == (2, "")
     assert err.startswith("monadlab: bad --field 'R': unknown field")
+
+
+def test_one_subcommand_parser_is_the_full_parsers_subcommand():
+    from monadlab.cli import COMMANDS, build_parser
+
+    def subparsers(parser):
+        return next(a for a in parser._actions if a.dest == "command").choices
+    full = subparsers(build_parser())
+    assert tuple(full) == COMMANDS
+    for name in COMMANDS:
+        alone = subparsers(build_parser(name))
+        assert list(alone) == [name]
+        assert alone[name].format_help() == full[name].format_help(), name
+        assert alone[name].get_default("func") is full[name].get_default("func"), name
 
 
 def test_every_subcommand_takes_out(capsys):

@@ -261,3 +261,34 @@ def test_euler_characteristic_matches_riemann_roch():
         table = cohomology_table(M, -6, 2)
         for k in range(-6, 3):
             assert table.euler(k) == rr_euler(inv, k), (M.dims(), k)
+
+
+def test_far_twists_of_a_sheaf_that_is_not_locally_free_are_capped(monkeypatch):
+    # without the A^T proof every twist eliminates a_k and a*_j, j = -k-4;
+    # the window is refused when the larger of them passes MAX_CELLS
+    from monadlab import cohomology
+
+    tf = example_monad("torsion-free")
+    assert cohomology_table(tf, 12, 12).column(12) == (896, 0, 0, 0)
+
+    def no_rank(*args, **kwargs):
+        raise AssertionError("a twist was computed before the cap")
+    monkeypatch.setattr(cohomology, "complex_cohomology", no_rank)
+    cap = cohomology.MAX_CELLS
+    for M, k_min, k_max, k, cells in ((tf, 30, 30, 30, 108247040),
+                                      (direct_sum(tf, tf), -30, -30, -30, 237363840),
+                                      (tf, -2, 30, 30, 108247040),
+                                      (direct_sum(tf, tf), -30, 2, -30, 237363840)):
+        assert cells > cap
+        with pytest.raises(ValueError) as info:
+            cohomology_table(M, k_min, k_max)
+        assert str(info.value) == (f"twist {k} would eliminate a matrix of {cells} "
+                                   f"cells, over the cap {cap}")
+        with pytest.raises(ValueError):
+            twist_cohomology(M, k)
+
+
+def test_far_twists_of_a_locally_free_sheaf_are_not_capped():
+    lf = example_monad("locally-free")
+    assert twist_cohomology(lf, 30)[1:] == (0, 0, 0)
+    assert twist_cohomology(lf, -30)[:3] == (0, 0, 0)
