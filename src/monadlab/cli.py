@@ -304,9 +304,10 @@ COMMANDS = ("examples", "generate", "validate", "invariants", "classify", "cohom
             "jumping-scan", "codim-evidence", "uniformity")
 
 
-def build_parser(command: str | None = None, prime: int | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of `command` alone; prime defaults to MONADLAB_PRIME."""
-    prime = _default_prime() if prime is None else prime
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `command` alone."""
+    # read whatever the command, so a bad MONADLAB_PRIME refuses every command
+    prime = _default_prime()
     parser = argparse.ArgumentParser(
         prog="monadlab",
         description="Exact calculus for special monads on projective space.")
@@ -416,10 +417,8 @@ def build_parser(command: str | None = None, prime: int | None = None) -> argpar
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        # read before parsing, so a bad MONADLAB_PRIME refuses every command
-        prime = _default_prime()
         command = argv[0] if argv and argv[0] in COMMANDS else None
-        args = build_parser(command, prime).parse_args(argv)
+        args = build_parser(command).parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
