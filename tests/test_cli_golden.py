@@ -9,7 +9,8 @@ The inputs are the three examples; a fractional copy of the locally-free
 one (row 0 of alpha divided by 7, column 0 of beta multiplied by 7, an
 isomorphic monad whose coefficients are not all integers); the random
 monads (2,6,2) seed 0 and (2,8,2) seed 1 over Q; a (1,4,1) on P2; and the
-reduction mod 7 of (2,6,2) seed 3, which is not a monad.
+reduction mod 7 of (2,6,2) seed 3, which is not a monad.  A command that
+names {out} writes a file there; its bytes are pinned as a fourth digest.
 
 The parser surface is pinned too: --help of the program and of each
 subcommand, and its usage errors.  A command may start with NAME=value
@@ -85,6 +86,13 @@ CASES = [
     ("jumping-s1-101", "jumping-scan {s1} --prime 101 --samples 300"),
     ("jumping-s0-7", "jumping-scan {s0} --prime 7 --samples 300"),
     ("jumping-bad7-7", "jumping-scan {bad7} --prime 7 --samples 300"),
+    ("emit-lf-101", "jumping-scan {lf} --prime 101 --samples 400 --seed 1 --emit-lines {out}"),
+    ("emit-p2-7", "jumping-scan {p2} --prime 7 --samples 200 --seed 2 --emit-lines {out}"),
+    ("emit-p2-13", "jumping-scan {p2} --prime 13 --samples 200 --seed 2 --emit-lines {out}"),
+    ("restrict-lf-1999", "restrict {lf} --seed 4 --index 1999"),
+    ("restrict-p2-1999", "restrict {p2} --seed 6 --index 1999"),
+    ("splitting-s1-1999", "splitting {s1} --seed 4 --index 1999"),
+    ("splitting-lf7-1999", "splitting {lf7} --seed 8 --index 1999"),
     ("uniformity-lf7", "uniformity {lf7} --samples 25"),
     ("uniformity-s0", "uniformity {s0} --samples 10 --seed 1"),
     ("codim-lf7", "codim-evidence {lf7} --primes 101,103 --samples 300 --format csv"),
@@ -144,6 +152,13 @@ GOLDEN = {
     'jumping-s1-101': ('92cfa40752e4f36a', 'e3b0c44298fc1c14', 0),
     'jumping-s0-7': ('d2f2dce3a8ec161d', '4784eaca0510e919', 0),
     'jumping-bad7-7': ('c320845bba8aa24f', 'c80c1d5a37a903f3', 0),
+    'emit-lf-101': ('83f37fd6dd396d87', 'e3b0c44298fc1c14', 0, '41d86414fefa546b'),
+    'emit-p2-7': ('5ee0cdc6a33964c9', 'a56d84933074c5b7', 0, '926176ae92c7574f'),
+    'emit-p2-13': ('4e80848e45b2d9f8', 'e3b0c44298fc1c14', 0, 'f9ad58ab77931324'),
+    'restrict-lf-1999': ('4613b16c7238adf5', 'e3b0c44298fc1c14', 0),
+    'restrict-p2-1999': ('69b9473177bcbbd8', 'e3b0c44298fc1c14', 0),
+    'splitting-s1-1999': ('86e3ef2a614a7579', 'e3b0c44298fc1c14', 0),
+    'splitting-lf7-1999': ('885e7d4b679f2b13', 'e3b0c44298fc1c14', 0),
     'uniformity-lf7': ('7062a9c0bb5e2641', 'e3b0c44298fc1c14', 0),
     'uniformity-s0': ('70006983edec8105', 'e3b0c44298fc1c14', 0),
     'codim-lf7': ('191a44f7d371156f', 'e3b0c44298fc1c14', 0),
@@ -209,11 +224,14 @@ def write_inputs(directory) -> dict:
         path = directory / f"{name}.json"
         path.write_bytes(data)
         paths[name] = str(path)
+    paths["out"] = str(directory / "out.txt")
     return paths
 
 
 def run_case(command: str, paths: dict):
     argv = [part.format(**paths) for part in command.split()]
+    if os.path.exists(paths["out"]):
+        os.remove(paths["out"])
     env = {"COLUMNS": "80"}
     while argv and "=" in argv[0]:
         key, value = argv.pop(0).split("=", 1)
@@ -224,7 +242,11 @@ def run_case(command: str, paths: dict):
         code = main(argv)
     def digest(text):
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
-    return digest(out.getvalue()), digest(err.getvalue()), code
+    result = (digest(out.getvalue()), digest(err.getvalue()), code)
+    if "{out}" in command:
+        with open(paths["out"], encoding="utf-8") as fh:
+            result += (digest(fh.read()),)
+    return result
 
 
 @pytest.fixture(scope="module")
