@@ -10,13 +10,14 @@ byte-identical output.  Exit codes: 0 success, 1 mathematical failure
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 
 from . import cohomology, lines_scan, monad, pencil, pointwise
 from .errors import MonadDecodeError, MonadLabError, ShapeMismatchError
-from .exactlin import DEFAULT_PRIME, field_from_name
+from .exactlin import DEFAULT_PRIME, GF, field_from_name
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -26,18 +27,55 @@ EXIT_USAGE = 2
 def _default_prime() -> int:
     raw = os.environ.get("MONADLAB_PRIME", "")
     try:
-        return int(raw) if raw else DEFAULT_PRIME
+        return prime(raw) if raw else DEFAULT_PRIME
     except ValueError:
         raise ValueError(f"MONADLAB_PRIME must be an integer, got {raw!r}") from None
+    except argparse.ArgumentTypeError:
+        raise ValueError(f"MONADLAB_PRIME must be a prime, got {raw!r}") from None
+
+
+# argparse names a flag's type in its messages ("invalid prime value: 'x'")
+def prime(text: str) -> int:
+    """argparse type of --prime: an int that is prime."""
+    p = int(text)
+    try:
+        GF(p)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return p
+
+
+def primes(text: str) -> list[int]:
+    """argparse type of --primes: comma-separated primes."""
+    return [prime(part) for part in text.split(",")]
+
+
+def index(text: str) -> int:
+    """argparse type of --index: the index of a line that a scan draws."""
+    i = int(text)
+    if i < 0:
+        raise argparse.ArgumentTypeError(f"{i} is negative; scans draw lines 0, 1, ...")
+    return i
 
 
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """The text file at path, opened for writing; an OSError, such as a
+    directory or a missing parent, is a usage error naming the path."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(text: str, out_path: str | None):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with _writing(out_path) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -246,12 +284,15 @@ def _cmd_splitting(args) -> int:
 
 def _cmd_jumping_scan(args) -> int:
     M = _load_monad(args.monad)
-    report = lines_scan.jumping_scan(M, args.prime, args.samples, args.seed,
-                                     keep_lines=bool(args.emit_lines))
     if args.emit_lines:
-        with open(args.emit_lines, "w", encoding="utf-8") as fh:
+        # opened before the scan, so an unwritable path costs no scan
+        with _writing(args.emit_lines) as fh:
+            report = lines_scan.jumping_scan(M, args.prime, args.samples, args.seed,
+                                             keep_lines=True)
             for outcome in report.outcomes:
                 fh.write(json.dumps(outcome.to_json_obj(), sort_keys=True) + "\n")
+    else:
+        report = lines_scan.jumping_scan(M, args.prime, args.samples, args.seed)
     _emit(_dump(report.to_json_obj()), args.out)
     if report.degenerate:
         print(f"monadlab: warning: {report.degenerate} of {report.samples} sampled "
@@ -262,11 +303,7 @@ def _cmd_jumping_scan(args) -> int:
 
 def _cmd_codim_evidence(args) -> int:
     M = _load_monad(args.monad)
-    try:
-        primes = [int(x) for x in args.primes.split(",")]
-    except ValueError as exc:
-        raise ValueError(f"bad --primes {args.primes!r}") from exc
-    report = lines_scan.codim_evidence(M, primes, args.samples, args.seed)
+    report = lines_scan.codim_evidence(M, args.primes, args.samples, args.seed)
     if args.format == "csv":
         _emit(report.to_csv(), args.out)
     else:
@@ -289,8 +326,8 @@ def _add_common(sp):
     sp.add_argument("--out", help="write output to this file instead of stdout")
 
 
-def _add_classify_knobs(sp, prime: int):
-    sp.add_argument("--prime", type=int, default=prime,
+def _add_classify_knobs(sp, env_prime: int):
+    sp.add_argument("--prime", type=prime, default=env_prime,
                     help="modulus of the rank certificates for a monad over Q; "
                          "a deficient rank mod p falls back to Q "
                          "(env MONADLAB_PRIME)")
@@ -307,7 +344,7 @@ COMMANDS = ("examples", "generate", "validate", "invariants", "classify", "cohom
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of every subcommand, or of `command` alone."""
     # read whatever the command, so a bad MONADLAB_PRIME refuses every command
-    prime = _default_prime()
+    env_prime = _default_prime()
     parser = argparse.ArgumentParser(
         prog="monadlab",
         description="Exact calculus for special monads on projective space.")
@@ -346,7 +383,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     if sp := add("classify", _cmd_classify, "regularity of the cohomology sheaf"):
         sp.add_argument("monad")
         sp.add_argument("--format", choices=("human", "json"), default="human")
-        _add_classify_knobs(sp, prime)
+        _add_classify_knobs(sp, env_prime)
         _add_common(sp)
 
     if sp := add("cohomology", _cmd_cohomology, "twist cohomology table"):
@@ -364,12 +401,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
     if sp := add("stability", _cmd_stability, "semistability/stability verdicts"):
         sp.add_argument("monad")
-        _add_classify_knobs(sp, prime)
+        _add_classify_knobs(sp, env_prime)
         _add_common(sp)
 
     if sp := add("dualize", _cmd_dualize, "dual monad (locally free only)"):
         sp.add_argument("monad")
-        _add_classify_knobs(sp, prime)
+        _add_classify_knobs(sp, env_prime)
         _add_common(sp)
 
     if sp := add("dsum", _cmd_dsum, "block-diagonal direct sum"):
@@ -385,12 +422,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             sp.add_argument("monad")
             sp.add_argument("--points", help="line as 'a0,a1,a2,a3;b0,b1,b2,b3'")
             sp.add_argument("--seed", type=int, default=0, help="seed for a sampled line")
-            sp.add_argument("--index", type=int, default=0, help="index of the sampled line")
+            sp.add_argument("--index", type=index, default=0, help="index of the sampled line")
             _add_common(sp)
 
     if sp := add("jumping-scan", _cmd_jumping_scan, "jumping-line statistics mod p"):
         sp.add_argument("monad")
-        sp.add_argument("--prime", type=int, default=prime)
+        sp.add_argument("--prime", type=prime, default=env_prime)
         sp.add_argument("--samples", type=int, default=2000)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--emit-lines", help="write one JSON line per sampled line")
@@ -399,7 +436,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     if sp := add("codim-evidence", _cmd_codim_evidence,
                  "jumping-fraction scaling across primes"):
         sp.add_argument("monad")
-        sp.add_argument("--primes", default="101,1009", help="comma-separated primes")
+        sp.add_argument("--primes", type=primes, default="101,1009",
+                        help="comma-separated primes")
         sp.add_argument("--samples", type=int, default=20000)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--format", choices=("json", "csv"), default="json")

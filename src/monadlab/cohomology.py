@@ -41,11 +41,14 @@ check, from exactlin.certify; pencil.p1_cohomology holds both for a clean
 line.  A table refuses a complex whose B proof fails: B is then not onto
 at some point, so the complex is not a monad (a bad reduction mod p, say).
 twist_cohomology is one column of a table, with the same proofs.
-Everything else is eliminated: b_k for k < v'-1, a*_j for j < v-1, every
-left-map rank when the A^T proof fails (torsion-free and reflexive
-sheaves), and the P1 d_2.  complex_cohomology called without proofs
-eliminates every rank; tests/test_closed_forms.py compares the closed
-forms with that path.
+A map out of a zero space has rank 0 with or without proofs, and is never
+built: a_k for k <= 0, b_k for k < 0, a*_j for j < 0 and b*_{j-1} for
+j <= 0.  Everything else is eliminated: b_k for 0 <= k < v'-1, a*_j for
+0 <= j < v-1, every other left-map rank when the A^T proof fails
+(torsion-free and reflexive sheaves), and the P1 d_2.  complex_cohomology
+called without proofs eliminates every rank of a map between nonzero
+spaces; tests/test_closed_forms.py compares the closed forms with an
+oracle that eliminates all four ranks, empty maps included.
 
 The Euler characteristic identity is asserted on every call, and
 cohomology_table adds h^1(E(-1)) = v', h^2(E(-3)) = v on P2 and P3; a
@@ -88,20 +91,22 @@ def complex_cohomology(A: LinearFormMatrix, B: LinearFormMatrix, k: int,
 
     at_onto and b_onto say that exactlin.onto_everywhere has proved A^T,
     respectively B, onto at every point; the ranks those proofs fix are
-    then taken in closed form (module docstring).  Without proofs every
-    rank is eliminated.
+    then taken in closed form (module docstring).  A map out of a zero
+    space S_d, d < 0, has rank 0 and is never built.  Without proofs every
+    rank of a map between nonzero spaces is eliminated.
     """
     n = A.nvars - 1
     v, w, vp = A.ncols, A.nrows, B.nrows
     S = lambda d: monomial_count(n + 1, d)
     j = -k - n - 1
 
-    rank_a = v * S(k - 1) if at_onto else mult_map(A, k - 1).rank()
+    # a map out of S_d = 0, d < 0, has rank 0 and is never built
+    rank_a = v * S(k - 1) if at_onto or k <= 0 else mult_map(A, k - 1).rank()
     rank_b = (vp * S(k + 1) if b_onto and k >= vp - 1
-              else mult_map(B, k).rank())
+              else 0 if k < 0 else mult_map(B, k).rank())
     rank_at = (v * S(j + 1) if at_onto and j >= v - 1
-               else mult_map(A.transpose(), j).rank())
-    rank_bt = vp * S(j - 1) if b_onto else mult_map(B.transpose(), j - 1).rank()
+               else 0 if j < 0 else mult_map(A.transpose(), j).rank())
+    rank_bt = vp * S(j - 1) if b_onto or j <= 0 else mult_map(B.transpose(), j - 1).rank()
     # E_2 terms E(p, q), p in {-1, 0, 1}, q in {0, n}, placed by total degree
     # p + q.  The two left out, E(-1, 0) = ker a_k and E(1, n) = ker b*_{j-1},
     # vanish for a monad; the first can be nonzero only for k >= 1 and the

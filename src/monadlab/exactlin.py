@@ -146,7 +146,9 @@ QQ = RationalField()
 DEFAULT_PRIME = 32003
 
 
+@lru_cache(maxsize=None)
 def GF(p: int) -> PrimeField:
+    """The field F_p, built once per prime: p is tested for primality once."""
     return PrimeField(p)
 
 
@@ -160,7 +162,7 @@ def field_from_name(name: str):
         except ValueError as exc:
             raise MonadDecodeError(f"bad field name {name!r}") from exc
         try:
-            return PrimeField(p)
+            return GF(p)
         except ValueError as exc:
             raise MonadDecodeError(str(exc)) from exc
     raise MonadDecodeError(f"unknown field {name!r} (expected 'Q' or 'Fp:<p>')")
@@ -648,7 +650,7 @@ def _rank_proof(P: LinearFormMatrix, d: int, target: int, prime: int) -> RankPro
     """
     if P.field.kind == "Q":
         try:
-            Pp = P.to_field(PrimeField(prime))
+            Pp = P.to_field(GF(prime))
         except ZeroDivisionError:
             Pp = None
         if Pp is not None:

@@ -4,10 +4,13 @@ Jumping loci over Q have measure zero, so the only way to see them at
 desk scale is to sample lines over finite fields and count.  Everything
 here is seeded: line i of a scan is drawn from hash(seed, i), so serial
 and parallel runs agree and reports are byte-identical across machines.
+A scan draws its lines from one stream (_draws): one generator, reseeded
+from hash(seed, i) for line i, that yields each line's points and
+Plucker coordinates; sample_line(seed, i) is line i of that stream.
 
-Every scan splits its lines through one path, _ScanContext.split, set up
-once per scan on the scanned monad (alpha, beta).  Write alpha_i, beta_i
-for the coefficient matrices of x_i.
+Every scan splits its lines through one path, _ScanContext.split_drawn,
+set up once per scan on the scanned monad (alpha, beta).  Write alpha_i,
+beta_i for the coefficient matrices of x_i.
 
 - The monad is certified once (exactlin.certify), or refused: the
   composite beta alpha vanishes iff beta_i alpha_i = 0 for every i and
@@ -39,7 +42,10 @@ for the coefficient matrices of x_i.
   p1_i p0_j beta_i alpha_j of each pair i < j equals
   -p1_i p0_j beta_j alpha_i by beta_i alpha_j + beta_j alpha_i = 0.  The
   matrices beta_j alpha_i are formed once per scan (six on P3, three on
-  P2), and each line costs one v x v rank.
+  P2), and each line costs one v x v rank.  On a certified scan a line
+  with rank J(L) = v is counted as trivial from its Plucker coordinates
+  alone: no Line is built for it unless the scan reports it (a witness,
+  or an emitted line).
 - Only a line where J(L) drops rank, and every line when c1 != 0, is
   restricted and split by pencil.splitting_type, which re-verifies the
   splitting against every twist it measures.
@@ -53,13 +59,13 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import chain, combinations
+from itertools import chain, combinations, count, islice
 from operator import mul
 
 from . import pointwise
 from ._seeds import seed_of_text
 from .errors import MonadLabError, NotLocallyFreeError
-from .exactlin import QQ, DenseMatrix, PrimeField, _echelon, certify
+from .exactlin import GF, QQ, DenseMatrix, PrimeField, _echelon, certify
 from .monad import COEFF_BOUND, SpecialMonad, invariants, to_prime_field
 from .pencil import Line, check_line, line_status, restrict, splitting_type
 
@@ -67,36 +73,53 @@ MAX_SAMPLES = 10 ** 6
 WITNESS_CAP = 32
 
 
-def sample_line(seed: int, index: int, field, ambient_n: int = 3) -> Line:
-    """Deterministic random line: entries from hash(seed, index), rank 2.
+def _draws(seed: int, field, ambient_n: int, start: int = 0):
+    """The stream of a scan: (points, minors) of lines start, start+1, ...
 
-    The generator is rng_for("line", seed, index, field.name), seeded from
-    the same text.  Each entry is the value of rng.randrange(p) over F_p and
-    of rng.randint(-COEFF_BOUND, COEFF_BOUND) over Q, drawn as CPython draws
-    a value below n: k = n.bit_length() random bits, drawn again while they
-    reach n.  Proportional points are drawn again.
+    One generator, reseeded for line i as rng_for("line", seed, i,
+    field.name) seeds its own, so line i is the same whichever line the
+    stream starts at.  Each entry is the value of rng.randrange(p)
+    over F_p and of rng.randint(-COEFF_BOUND, COEFF_BOUND) over Q, drawn as
+    CPython draws a value below n: k = n.bit_length() random bits, drawn
+    again while they reach n.  Proportional points are drawn again.  minors
+    are the Plucker coordinates of the line, as in Line.minors.
     """
-    bits = random.Random(seed_of_text(f"line:{seed}:{index}:{field.name}")).getrandbits
+    rng = random.Random()
+    # the C seed under Random.seed: for an int, Random.seed only adds a
+    # type check and clears the gauss cache, which no draw here reads
+    reseed, bits = super(random.Random, rng).seed, rng.getrandbits
     nvars = ambient_n + 1
+    pairs = tuple(combinations(range(nvars), 2))
     p = field.p if field.kind == "Fp" else None
     n, low = (p, 0) if p else (2 * COEFF_BOUND + 1, -COEFF_BOUND)
     k = n.bit_length()
-    while True:
-        draws = []
-        for _ in range(2 * nvars):
-            r = bits(k)
-            while r >= n:
+    for index in count(start):
+        reseed(seed_of_text(f"line:{seed}:{index}:{field.name}"))
+        while True:
+            draws = []
+            for _ in range(2 * nvars):
                 r = bits(k)
-            draws.append(low + r)
-        a, b = draws[:nvars], draws[nvars:]
-        pairs = combinations(range(nvars), 2)
-        if p:
-            minors = [(a[i] * b[j] - a[j] * b[i]) % p for i, j in pairs]
-        else:
-            minors = [a[i] * b[j] - a[j] * b[i] for i, j in pairs]
-        if any(minors):
-            break
-    return Line(field, (tuple(a), tuple(b)), tuple(minors))
+                while r >= n:
+                    r = bits(k)
+                draws.append(low + r)
+            a, b = draws[:nvars], draws[nvars:]
+            if p:
+                minors = [(a[i] * b[j] - a[j] * b[i]) % p for i, j in pairs]
+            else:
+                minors = [a[i] * b[j] - a[j] * b[i] for i, j in pairs]
+            if any(minors):
+                break
+        yield (tuple(a), tuple(b)), tuple(minors)
+
+
+def sample_line(seed: int, index: int, field, ambient_n: int = 3) -> Line:
+    """Line `index` of the scan stream of (seed, field) in P^ambient_n.
+
+    Deterministic and of rank 2 (_draws); the generator is reseeded once,
+    for this line alone.
+    """
+    points, minors = next(_draws(seed, field, ambient_n, index))
+    return Line(field, points, minors)
 
 
 def _require_locally_free(M: SpecialMonad, classification):
@@ -108,7 +131,7 @@ def _require_locally_free(M: SpecialMonad, classification):
 
 
 def _scan_field(M: SpecialMonad, prime: int) -> PrimeField:
-    field = PrimeField(prime)
+    field = GF(prime)
     if M.field not in (QQ, field):
         raise MonadLabError(f"monad lives over {M.field.name}, cannot scan mod {prime}")
     return field
@@ -124,7 +147,8 @@ def _check_samples(samples: int):
 class _ScanContext:
     """The per-scan part of splitting lines of one monad M (module docstring).
 
-    split(line) returns (status, splitting parts or None) for a line of M.
+    split(line) returns (status, splitting parts or None) for a line of M;
+    split_drawn does the same for a line of the scan's stream.
     """
 
     __slots__ = ("M", "rank", "certificate", "jump_cells")
@@ -143,10 +167,9 @@ class _ScanContext:
             self.jump_cells = [[[t[r][c] for t in terms] for c in range(M.v)]
                                for r in range(M.v)]
 
-    def _jumps(self, line: Line) -> bool:
+    def _jumps(self, minors) -> bool:
         """Whether rank J(L) < v, J(L) = sum_{i<j} pi_ij beta_j alpha_i."""
         f, v = self.M.field, self.M.v
-        minors = line.minors
         J = [[sum(map(mul, minors, cell)) for cell in row] for row in self.jump_cells]
         if f.kind == "Fp":
             return len(_echelon(f.reduce(J), v, f.p)) < v
@@ -154,16 +177,28 @@ class _ScanContext:
 
     def split(self, line: Line):
         check_line(self.M, line)
-        clean = self.certificate.clean
-        if not clean:
-            pc = restrict(self.M, line)
+        return self.split_drawn(line.points, line.minors, line)[:2]
+
+    def split_drawn(self, points, minors, line: Line | None = None):
+        """(status, parts, line) of a line of M's field and space, given by
+        its points and minors (_draws).
+
+        line is the Line that was restricted: the one given, or one built
+        here.  It is None for a clean line with trivial splitting that the
+        jump matrix settled on a certified scan, which builds no Line.
+        """
+        M, cert = self.M, self.certificate
+        if not cert.clean:
+            line = line or Line(M.field, points, minors)
+            pc = restrict(M, line)
             if not line_status(pc).clean:
-                return ("degenerate", None)
-        if self.jump_cells is not None and not self._jumps(line):
-            return ("clean", (0,) * self.rank)
-        if clean:
-            pc = restrict(self.M, line, self.certificate)
-        return ("clean", splitting_type(pc).parts)
+                return ("degenerate", None, line)
+        if self.jump_cells is not None and not self._jumps(minors):
+            return ("clean", (0,) * self.rank, line)
+        if cert.clean:
+            line = line or Line(M.field, points, minors)
+            pc = restrict(M, line, cert)
+        return ("clean", splitting_type(pc).parts, line)
 
 
 class LineOutcome:
@@ -244,25 +279,27 @@ def jumping_scan(M: SpecialMonad, prime: int, samples: int, seed: int = 0,
     _require_locally_free(M, classification)
     if invariants(M).c1 != 0:
         raise ValueError("jumping scans are defined for c1 = 0 sheaves")
-    split = _ScanContext(to_prime_field(M, prime)).split
+    split = _ScanContext(to_prime_field(M, prime)).split_drawn
     jumping = 0
     degenerate = 0
     spectrum: dict[tuple[int, ...], int] = {}
     witnesses: list[Line] = []
     outcomes: list[LineOutcome] = []
-    for i in range(samples):
-        line = sample_line(seed, i, field, M.ambient_n)
-        status, parts = split(line)
+    draws = islice(_draws(seed, field, M.ambient_n), samples)
+    for i, (points, minors) in enumerate(draws):
+        status, parts, line = split(points, minors)
         if status == "degenerate":
             degenerate += 1
         else:
             spectrum[parts] = spectrum.get(parts, 0) + 1
-            if any(a != 0 for a in parts):
+            if any(parts):
+                # a jumping line was restricted, so it has its Line
                 jumping += 1
                 if len(witnesses) < WITNESS_CAP:
                     witnesses.append(line)
         if keep_lines:
-            outcomes.append(LineOutcome(i, line, status, parts))
+            outcomes.append(LineOutcome(i, line or Line(field, points, minors),
+                                        status, parts))
     return ScanReport(M.monad_id, field.name, prime, samples, seed,
                       jumping, degenerate, spectrum, witnesses, outcomes)
 
@@ -309,20 +346,20 @@ def trivial_splitting_test(M: SpecialMonad, samples: int = 10, seed: int = 0) ->
     trivial.  Without a witness the observed spectrum is reported.
     """
     _check_samples(samples)
-    split = _ScanContext(M).split
+    split = _ScanContext(M).split_drawn
     spectrum: dict[tuple[int, ...], int] = {}
     degenerate = 0
-    for i in range(samples):
-        line = sample_line(seed, i, M.field, M.ambient_n)
-        status, parts = split(line)
+    for points, minors in islice(_draws(seed, M.field, M.ambient_n), samples):
+        status, parts, line = split(points, minors)
         if status == "degenerate":
             degenerate += 1
             continue
         spectrum[parts] = spectrum.get(parts, 0) + 1
-        if all(a == 0 for a in parts):
+        if not any(parts):
             exact = M.field == QQ
             return TrivialSplittingReport(
-                M.monad_id, M.field.name, samples, seed, exact, line,
+                M.monad_id, M.field.name, samples, seed, exact,
+                line or Line(M.field, points, minors),
                 spectrum, degenerate,
                 "trivial splitting type certified" if exact
                 else "trivial splitting observed (finite field; not a certificate)")
@@ -472,11 +509,15 @@ def uniformity_evidence(M: SpecialMonad, samples: int = 50, seed: int = 0,
     degenerate = 0
     first_parts = None
     witness = None
-    lines = chain(extra_lines, (sample_line(seed, i, M.field, M.ambient_n)
-                                for i in range(samples)))
-    split = _ScanContext(M).split
-    for line in lines:
-        status, parts = split(line)
+    extra = list(extra_lines)
+    for line in extra:
+        check_line(M, line)
+    split = _ScanContext(M).split_drawn
+    given = ((line.points, line.minors, line) for line in extra)
+    drawn = ((points, minors, None) for points, minors
+             in islice(_draws(seed, M.field, M.ambient_n), samples))
+    for points, minors, line in chain(given, drawn):
+        status, parts, line = split(points, minors, line)
         if status == "degenerate":
             degenerate += 1
             continue
@@ -484,7 +525,7 @@ def uniformity_evidence(M: SpecialMonad, samples: int = 50, seed: int = 0,
         if first_parts is None:
             first_parts = parts
         elif parts != first_parts and witness is None:
-            witness = line
+            witness = line or Line(M.field, points, minors)
     refuted = witness is not None
     notes = []
     if not refuted:

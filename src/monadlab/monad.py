@@ -35,10 +35,10 @@ from .errors import (
     ShapeMismatchError,
 )
 from .exactlin import (
+    GF,
     QQ,
     DenseMatrix,
     LinearFormMatrix,
-    PrimeField,
     forms_matrix,
 )
 
@@ -345,7 +345,7 @@ def dualize(M: SpecialMonad, classification=None) -> SpecialMonad:
 
 def to_prime_field(M: SpecialMonad, p: int) -> SpecialMonad:
     """Reduce a monad mod p; refuses when a denominator vanishes mod p."""
-    fp = PrimeField(p)
+    fp = GF(p)
     if M.field == fp:
         return M
     if M.field.kind == "Fp":

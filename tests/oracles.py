@@ -48,6 +48,13 @@ class ReferenceScan:
             return ("degenerate", None)
         return ("clean", splitting_type(pc).parts)
 
+    def split_drawn(self, points, minors, line=None):
+        """split of a line of the scan's stream, rebuilt from its points
+        alone by Line.from_points; minors are not read."""
+        from monadlab.pencil import Line
+        line = line or Line.from_points(self.M.field, *points)
+        return (*self.split(line), line)
+
 
 def reference_compose_check(B, A) -> bool:
     """Whether B*A vanishes as a matrix of quadrics, coefficient by
@@ -66,19 +73,65 @@ def reference_compose_check(B, A) -> bool:
     return True
 
 
+def reference_cohomology(A, B, k):
+    """(h^0, ..., h^n) of the middle cohomology of O(k-1)^v -> O(k)^w -> O(k+1)^v'
+    with all four ranks eliminated, empty maps included, and no proof taken.
+
+    monadlab's cohomology.complex_cohomology written out again without its
+    shortcuts: every rank is mult_map(...).rank(), also for a map out of a
+    zero space.  Its negativity and Euler checks raise the same messages.
+    """
+    from monadlab.cohomology import chi_line_bundle
+    from monadlab.errors import MonadLabError
+    from monadlab.exactlin import monomial_count, mult_map
+    n = A.nvars - 1
+    v, w, vp = A.ncols, A.nrows, B.nrows
+    S = lambda d: monomial_count(n + 1, d)
+    j = -k - n - 1
+    rank_a = mult_map(A, k - 1).rank()
+    rank_b = mult_map(B, k).rank()
+    rank_at = mult_map(A.transpose(), j).rank()
+    rank_bt = mult_map(B.transpose(), j - 1).rank()
+    out = [0] * (n + 1)
+    out[0] += w * S(k) - rank_b - rank_a
+    out[1] += vp * S(k + 1) - rank_b
+    out[n - 1] += v * S(j + 1) - rank_at
+    out[n] += w * S(j) - rank_at - rank_bt
+    if n == 1 and k == -1:
+        rank_d2 = B.coeffs[1].matmul(A.coeffs[0]).rank()
+        out[0] -= rank_d2
+        out[1] -= rank_d2
+    out = tuple(out)
+    if any(h < 0 for h in out):
+        raise MonadLabError(f"negative cohomology dimension at twist {k}: {out}")
+    euler = sum((-1) ** p * h for p, h in enumerate(out))
+    expected = (w * chi_line_bundle(n, k) - v * chi_line_bundle(n, k - 1)
+                - vp * chi_line_bundle(n, k + 1))
+    if euler != expected:
+        raise MonadLabError(
+            f"Euler characteristic mismatch at twist {k}: got {euler}, "
+            f"expected {expected}")
+    return out
+
+
 def reference_twist(M, k):
     """(h^0, ..., h^n) of E(k) with every rank eliminated and no proof taken.
 
     monadlab's twist_cohomology before it became a column of
-    cohomology_table: the composite check, then each rank of
-    cohomology.complex_cohomology computed, none taken in closed form.
+    cohomology_table: the composite check, then reference_cohomology, then
+    the checks h^1(E(-1)) = v' and, on P3, h^2(E(-3)) = v, with the
+    messages of cohomology._twist_column.
     """
-    from monadlab.cohomology import _twist_column
     from monadlab.errors import MonadLabError
     from monadlab.exactlin import compose_check
     if not compose_check(M.beta, M.alpha):
         raise MonadLabError("composite does not vanish; not a monad")
-    return _twist_column(M, k)
+    out = reference_cohomology(M.alpha, M.beta, k)
+    if k == -1 and out[1] != M.v_prime:
+        raise MonadLabError(f"h^1(E(-1)) = {out[1]} != v' = {M.v_prime}")
+    if M.ambient_n == 3 and k == -3 and out[2] != M.v:
+        raise MonadLabError(f"h^2(E(-3)) = {out[2]} != v = {M.v}")
+    return out
 
 
 def _rref(field, rows, ncols):

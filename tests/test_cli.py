@@ -534,3 +534,74 @@ def test_every_subcommand_takes_out(capsys):
     sub = next(a for a in build_parser()._actions if a.dest == "command")
     for name, parser in sub.choices.items():
         assert any(a.option_strings == ["--out"] for a in parser._actions), name
+
+
+def _refused_write(err: str, path: str) -> bool:
+    return err.startswith(f"monadlab: cannot write {path}: ") and "Traceback" not in err
+
+
+def test_examples_out_to_a_directory_is_a_usage_error(capsys, tmp_path):
+    code, out, err = run(capsys, "examples", "--name", "locally-free", "--out", str(tmp_path))
+    assert (code, out) == (2, "") and _refused_write(err, str(tmp_path))
+
+
+def test_validate_out_to_a_directory_is_a_usage_error(capsys, tmp_path, lf_path):
+    code, out, err = run(capsys, "validate", lf_path, "--out", str(tmp_path))
+    assert (code, out) == (2, "") and _refused_write(err, str(tmp_path))
+
+
+def test_cohomology_out_in_a_missing_directory_is_a_usage_error(capsys, tmp_path, lf_path):
+    path = str(tmp_path / "missing" / "table.md")
+    code, out, err = run(capsys, "cohomology", lf_path, "--out", path)
+    assert (code, out) == (2, "") and _refused_write(err, path)
+
+
+def test_emit_lines_to_a_directory_is_refused_before_the_scan(capsys, tmp_path, lf_path,
+                                                               monkeypatch):
+    from monadlab import lines_scan
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the scan ran before the path was opened")
+    monkeypatch.setattr(lines_scan, "jumping_scan", no_scan)
+    code, out, err = run(capsys, "jumping-scan", lf_path, "--prime", "101",
+                         "--emit-lines", str(tmp_path))
+    assert (code, out) == (2, "") and _refused_write(err, str(tmp_path))
+
+
+def test_a_composite_prime_flag_is_refused_before_any_rank(capsys, tmp_path, lf_path,
+                                                           request):
+    path = tmp_path / "s0.json"
+    run(capsys, "generate", "--dims", "2,6,2", "--seed", "0", "--out", str(path))
+    request.getfixturevalue("no_rank")
+    for monad_path in (lf_path, str(path)):
+        for command in ("classify", "stability", "dualize", "jumping-scan"):
+            code, out, err = run(capsys, command, monad_path, "--prime", "4")
+            assert (code, out) == (2, ""), command
+            assert err.endswith(f"monadlab {command}: error: argument --prime: "
+                                "4 is not prime\n"), err
+
+
+def test_a_composite_entry_of_primes_names_the_flag(capsys, lf_path, no_rank):
+    code, out, err = run(capsys, "codim-evidence", lf_path, "--primes", "101,9,103")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --primes: 9 is not prime\n")
+    code, out, err = run(capsys, "codim-evidence", lf_path, "--primes", "101,x")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --primes: invalid primes value: '101,x'\n")
+
+
+def test_a_composite_env_prime_refuses_every_command(capsys, lf_path, monkeypatch,
+                                                     no_rank):
+    monkeypatch.setenv("MONADLAB_PRIME", "4")
+    for command in ("validate", "classify"):
+        code, out, err = run(capsys, command, lf_path)
+        assert (code, out) == (2, ""), command
+        assert err == "monadlab: MONADLAB_PRIME must be a prime, got '4'\n"
+
+
+def test_a_negative_index_is_a_usage_error(capsys, lf_path):
+    for command in ("restrict", "splitting"):
+        code, out, err = run(capsys, command, lf_path, "--index", "-1")
+        assert (code, out) == (2, ""), command
+        assert err.endswith(f"monadlab {command}: error: argument --index: "
+                            "-1 is negative; scans draw lines 0, 1, ...\n")

@@ -1,9 +1,10 @@
 """Closed-form twist ranks against the all-ranks path.
 
 cohomology_table and p1_cohomology take most ranks in closed form from
-two onto_everywhere proofs.  oracles.reference_twist, and
-complex_cohomology called without proofs, eliminate every rank; that path
-is the reference here.  On every monad of the corpus the two must agree
+two onto_everywhere proofs, and complex_cohomology takes the rank of a map
+out of a zero space as 0 without building it.  oracles.reference_twist
+and oracles.reference_cohomology eliminate all four ranks, empty maps
+included; that path is the reference here.  On every monad of the corpus the two must agree
 column by column, and where the reference raises, the table must raise
 the same error.
 
@@ -37,7 +38,7 @@ from monadlab.exactlin import onto_everywhere
 from monadlab.lines_scan import sample_line
 from monadlab.pencil import line_status, p1_cohomology
 
-from oracles import reference_twist
+from oracles import reference_cohomology, reference_twist
 from test_acceptance import EXAMPLES, _fifty_random_monads
 from test_scalars import GOLDEN_MONADS, _field
 
@@ -136,7 +137,8 @@ def test_clean_lines(dims, fname):
             continue
         clean += 1
         for k in range(-pc.v - 4, pc.v_prime + 4):
-            assert p1_cohomology(pc, k) == complex_cohomology(pc.A, pc.B, k)
+            assert (p1_cohomology(pc, k) == complex_cohomology(pc.A, pc.B, k)
+                    == reference_cohomology(pc.A, pc.B, k))
     assert clean
 
 

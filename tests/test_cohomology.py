@@ -292,3 +292,41 @@ def test_far_twists_of_a_locally_free_sheaf_are_not_capped():
     lf = example_monad("locally-free")
     assert twist_cohomology(lf, 30)[1:] == (0, 0, 0)
     assert twist_cohomology(lf, -30)[:3] == (0, 0, 0)
+
+
+def _count_mult_maps(monkeypatch):
+    """Shapes of the multiplication maps built, at every binding that builds them."""
+    from monadlab import cohomology, exactlin
+    built = []
+    mult_map = exactlin.mult_map
+
+    def counting(L, d):
+        m = mult_map(L, d)
+        built.append((m.nrows, m.ncols))
+        return m
+    monkeypatch.setattr(exactlin, "mult_map", counting)
+    monkeypatch.setattr(cohomology, "mult_map", counting)
+    return built
+
+
+def test_a_map_out_of_a_zero_space_is_never_built(monkeypatch):
+    # such a map has no columns and rank 0 (test_exactlin's
+    # test_mult_map_single_form).  The (2,8,2) s1 table on [-7, 2] builds
+    # certify's composite check and two proofs (four maps), then b_0 and
+    # a*_0; every other rank is a closed form or a map out of S_d = 0, d < 0
+    M = random_monad(2, 8, 2, seed=1)
+    built = _count_mult_maps(monkeypatch)
+    cohomology_table(M, -7, 2)
+    assert len(built) == 6 and all(r and c for r, c in built), built
+
+
+def test_a_clean_pencil_splits_with_two_maps(monkeypatch):
+    from monadlab import certify, restrict, sample_line, splitting_type
+    M = random_monad(2, 8, 2, seed=1)
+    cert = certify(M.alpha, M.beta)
+    assert cert.clean
+    pc = restrict(M, sample_line(0, 0, QQ), cert)
+    built = _count_mult_maps(monkeypatch)
+    assert splitting_type(pc).parts == (0, 0, 0, 0)
+    # b_0 and a*_0 (twist -2); the d_2 at twist -1 is one product, no map
+    assert len(built) == 2 and all(r and c for r, c in built), built

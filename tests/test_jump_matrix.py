@@ -198,3 +198,42 @@ def test_4000_line_scan_of_a_3_10_3_monad_mod_101_in_under_1_5_s():
     elapsed = time.monotonic() - start
     assert rep.samples == 4000 and rep.degenerate == 0 and rep.jumping > 0
     assert elapsed < 1.5, f"{elapsed:.2f}s"
+
+
+def test_a_certified_scan_builds_a_line_only_where_it_needs_one(monkeypatch):
+    # one generator for the whole stream; a line whose J(L) has full rank
+    # is counted as trivial from its minors, with no Line, check or split
+    M = example_monad("locally-free")
+    cls = classify(M)
+    generators = []
+
+    class CountingRandom(random.Random):
+        def __init__(self, *args):
+            generators.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(random, "Random", CountingRandom)
+    built = []
+    init = Line.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Line, "__init__", counting_init)
+    checks = _count(monkeypatch, pencil, "check_line")
+    splits = _count(monkeypatch, pencil, "splitting_type")
+    rep = jumping_scan(M, 101, 2000, seed=0, classification=cls)
+    assert rep.jumping > 0 and rep.degenerate == 0 and rep.witnesses
+    assert len(generators) == 1
+    # the witnesses are jumping lines, which were restricted
+    assert len(built) == len(checks) == len(splits) == rep.jumping
+    built.clear()
+    generators.clear()
+    kept = jumping_scan(M, 101, 2000, seed=0, classification=cls, keep_lines=True)
+    assert kept.to_json_obj() == rep.to_json_obj()
+    assert len(generators) == 1 and len(built) == 2000
+    # over Q the first line is trivial: only the witness is built
+    built.clear()
+    assert trivial_splitting_test(M, 10, seed=0).certified
+    assert len(built) == 1

@@ -341,3 +341,51 @@ def test_scan_mod_a_prime_where_beta_degenerates_at_some_points(bad_reduction_mo
     assert rep.degenerate >= 1
     # line by line verdicts on 120 lines of this reduction are pinned in
     # test_line_verdicts_golden, case "(2,6,2)s3/F5"
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(101)], ids=lambda f: f.name)
+def test_the_stream_yields_the_reference_lines(field):
+    # one generator, reseeded line by line, so no state carries over
+    from monadlab.lines_scan import _draws
+    for ambient_n in (2, 3):
+        for start in (0, 250):
+            stream = _draws(4, field, ambient_n, start)
+            for index in range(start, start + 300):
+                points, minors = next(stream)
+                ref = reference_sample_line(4, index, field, ambient_n)
+                assert (points, minors) == (ref.points, ref.minors), (ambient_n, index)
+
+
+def test_a_far_sampled_line_reseeds_once(monkeypatch):
+    from monadlab import lines_scan
+    texts = []
+    seed_of_text = lines_scan.seed_of_text
+
+    def counting(text):
+        texts.append(text)
+        return seed_of_text(text)
+
+    monkeypatch.setattr(lines_scan, "seed_of_text", counting)
+    f = GF(101)
+    line = sample_line(7, 10 ** 6, f)
+    assert texts == [f"line:7:{10 ** 6}:Fp:101"]
+    ref = reference_sample_line(7, 10 ** 6, f)
+    assert (line.points, line.minors) == (ref.points, ref.minors)
+
+
+def test_each_prime_is_tested_once_across_a_table_and_a_scan(monkeypatch):
+    from monadlab import cohomology_table, exactlin
+    tested = []
+    is_prime = exactlin._is_prime
+
+    def counting(n):
+        tested.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(exactlin, "_is_prime", counting)
+    exactlin.GF.cache_clear()
+    M = example_monad("locally-free")
+    cohomology_table(M, -6, 2)
+    jumping_scan(M, 101, 300, seed=1)
+    codim_evidence(M, [101, 103], 100)
+    assert sorted(tested) == [101, 103, exactlin.DEFAULT_PRIME]
