@@ -148,7 +148,8 @@ class _ScanContext:
     """The per-scan part of splitting lines of one monad M (module docstring).
 
     split(line) returns (status, splitting parts or None) for a line of M;
-    split_drawn does the same for a line of the scan's stream.
+    split_drawn returns them, and the Line it restricted, for a line of the
+    scan's stream.
     """
 
     __slots__ = ("M", "rank", "certificate", "jump_cells")
