@@ -66,7 +66,7 @@ from .monad import SpecialMonad, dualize, invariants
 
 DEFAULT_WINDOW = (-6, 2)
 MAX_TWISTS = 10 ** 4
-MAX_CELLS = 10 ** 7      # largest eliminated matrix of a table: about 4 s and 190 MiB
+MAX_CELLS = 10 ** 7      # largest eliminated matrix of a table: up to about 4 s and 160 MiB
 
 
 def chi_line_bundle(n: int, d: int) -> int:

@@ -10,8 +10,10 @@ field.reduce once: the identity over Q, x % p over F_p.  A field object is
 otherwise only a codec (coerce, parse, fmt).  Every elimination is integer
 elimination, by one routine: mod p over F_p, fraction-free (Bareiss) over
 Z for a matrix over Q, its rows first cleared of denominators.  A rank is
-the number of pivots; a kernel is back-substituted from the same echelon
-form, in integers over Q.
+the number of pivots.  A rank over Q is taken mod a prime first
+(_rank_mod_p), and Bareiss runs only when that rank falls short of the
+largest possible one.  A kernel is back-substituted from the echelon form,
+in integers over Q.
 
 The module also provides monomial bases of the graded pieces of a
 polynomial ring (graded-lex, variable 0 highest), matrices of linear
@@ -242,6 +244,18 @@ def _int_rows(data) -> list[list[int]]:
     return out
 
 
+def _rank_mod_p(data, ncols: int, p: int) -> int | None:
+    """Rank mod p of a matrix over Q given by its rows, or None when a
+    denominator vanishes mod p.  An int is reduced with % p and a Fraction
+    through GF(p).coerce, so integral rows make no Fraction operation."""
+    coerce = GF(p).coerce
+    try:
+        rows = [[x % p if type(x) is int else coerce(x) for x in row] for row in data]
+    except ZeroDivisionError:
+        return None
+    return len(_echelon(rows, ncols, p))
+
+
 # ---------------------------------------------------------------------------
 # matrices
 
@@ -316,6 +330,24 @@ class DenseMatrix:
         return rows, _echelon(rows, self.ncols, p)
 
     def rank(self) -> int:
+        """The number of pivots of the echelon form.
+
+        Over Q the rank is taken mod DEFAULT_PRIME first, and returned when
+        it reaches min(nrows, ncols).  When no denominator vanishes mod p,
+        every entry lies in Z_(p), and Z_(p) -> F_p is a ring map, so a
+        minor of the reduction is the reduction of the minor over Q: a
+        nonzero r x r minor mod p is a nonzero minor over Q, and the rank
+        over Q is at least the rank mod p.  A rank mod p that reaches the
+        largest possible value is therefore the rank over Q.  Otherwise, or
+        when a denominator vanishes mod p, Bareiss decides.  A full-rank
+        matrix thus costs one elimination mod p in place of Bareiss, and a
+        rank-deficient one costs both, the mod-p pass being the cheaper of
+        the two.
+        """
+        if self.field.kind == "Q":
+            r = _rank_mod_p(self.data, self.ncols, DEFAULT_PRIME)
+            if r == min(self.nrows, self.ncols):
+                return r
         return len(self._echelon()[1])
 
     def right_kernel(self) -> "DenseMatrix":
@@ -643,23 +675,20 @@ def generically_injective(P: LinearFormMatrix, prime: int = DEFAULT_PRIME) -> Ra
 def _rank_proof(P: LinearFormMatrix, d: int, target: int, prime: int) -> RankProof:
     """The rank of mult_map(P, d) against its full value `target`.
 
-    Over Q the rank is first taken mod `prime`: the reduction can only
-    lower a rank, so full rank mod p proves full rank over Q.  The rank
-    over Q is computed only when the rank mod p is deficient or a
+    Over Q the rank is taken mod `prime` first, as in DenseMatrix.rank:
+    the reduction can only lower a rank, so a rank mod p that reaches
+    `target` proves full rank over Q, and the proof is over "Fp:<prime>".
+    Bareiss decides, over "Q", only when the rank mod p falls short or a
     denominator of P vanishes mod p.
     """
-    if P.field.kind == "Q":
-        try:
-            Pp = P.to_field(GF(prime))
-        except ZeroDivisionError:
-            Pp = None
-        if Pp is not None:
-            proof = _rank_proof(Pp, d, target, prime)
-            if proof.full:
-                return proof
     m = mult_map(P, d)
-    r = m.rank()
-    return RankProof(r == target, r, target, (m.nrows, m.ncols), P.field.name)
+    if P.field.kind == "Fp":
+        r, over = m.rank(), P.field.name
+    else:
+        r, over = _rank_mod_p(m.data, m.ncols, prime), GF(prime).name
+        if r != target:
+            r, over = len(m._echelon()[1]), "Q"
+    return RankProof(r == target, r, target, (m.nrows, m.ncols), over)
 
 
 def linear_locus(L: LinearFormMatrix) -> list[list]:

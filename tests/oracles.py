@@ -26,8 +26,20 @@ def grid_injective(L) -> bool:
     v = L.ncols
     if L.field.kind == "Fp" and L.field.p <= v:
         raise ValueError(f"the grid needs p > {v}")
-    return any(L.at(list(pt)).rank() == v
+    return any(reference_rank(L.at(list(pt))) == v
                for pt in itertools.product(range(v + 1), repeat=L.nvars) if any(pt))
+
+
+def reference_rank(m) -> int:
+    """Rank of a DenseMatrix that never reduces a matrix over Q mod p.
+
+    Over Q it is the Bareiss elimination alone, on the rows cleared of
+    denominators; over F_p it is DenseMatrix.rank.
+    """
+    from monadlab.exactlin import _echelon, _int_rows
+    if m.field.kind == "Q":
+        return len(_echelon(_int_rows(m.data), m.ncols, None))
+    return m.rank()
 
 
 class ReferenceScan:
@@ -78,8 +90,9 @@ def reference_cohomology(A, B, k):
     with all four ranks eliminated, empty maps included, and no proof taken.
 
     monadlab's cohomology.complex_cohomology written out again without its
-    shortcuts: every rank is mult_map(...).rank(), also for a map out of a
-    zero space.  Its negativity and Euler checks raise the same messages.
+    shortcuts: every rank is reference_rank(mult_map(...)), also for a map
+    out of a zero space, so over Q no rank is taken mod p.  Its negativity
+    and Euler checks raise the same messages.
     """
     from monadlab.cohomology import chi_line_bundle
     from monadlab.errors import MonadLabError
@@ -88,17 +101,17 @@ def reference_cohomology(A, B, k):
     v, w, vp = A.ncols, A.nrows, B.nrows
     S = lambda d: monomial_count(n + 1, d)
     j = -k - n - 1
-    rank_a = mult_map(A, k - 1).rank()
-    rank_b = mult_map(B, k).rank()
-    rank_at = mult_map(A.transpose(), j).rank()
-    rank_bt = mult_map(B.transpose(), j - 1).rank()
+    rank_a = reference_rank(mult_map(A, k - 1))
+    rank_b = reference_rank(mult_map(B, k))
+    rank_at = reference_rank(mult_map(A.transpose(), j))
+    rank_bt = reference_rank(mult_map(B.transpose(), j - 1))
     out = [0] * (n + 1)
     out[0] += w * S(k) - rank_b - rank_a
     out[1] += vp * S(k + 1) - rank_b
     out[n - 1] += v * S(j + 1) - rank_at
     out[n] += w * S(j) - rank_at - rank_bt
     if n == 1 and k == -1:
-        rank_d2 = B.coeffs[1].matmul(A.coeffs[0]).rank()
+        rank_d2 = reference_rank(B.coeffs[1].matmul(A.coeffs[0]))
         out[0] -= rank_d2
         out[1] -= rank_d2
     out = tuple(out)

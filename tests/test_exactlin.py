@@ -10,6 +10,7 @@ from monadlab.errors import ShapeMismatchError
 from monadlab.monad import example_monad, random_monad, to_prime_field
 from oracles import grid_injective, projective_points, reference_kernel
 from monadlab.exactlin import (
+    DEFAULT_PRIME,
     GF,
     QQ,
     DenseMatrix,
@@ -132,6 +133,104 @@ def test_rank_and_kernel_match_the_rref_reference(field):
         assert m.rank() == ref_rank, (r, c, m.data)
         assert (kern.nrows, kern.ncols) == (c, len(ref_kernel))
         assert kern.transpose().data == ref_kernel, (r, c, m.data)
+
+
+PRIME = DEFAULT_PRIME    # the modulus of every rank over Q
+
+
+def _echelon_calls(monkeypatch):
+    """The modulus of each elimination: None for a Bareiss elimination over Z."""
+    from monadlab import exactlin
+    echelon = exactlin._echelon
+    calls = []
+
+    def counting(rows, ncols, p):
+        calls.append(p)
+        return echelon(rows, ncols, p)
+    monkeypatch.setattr(exactlin, "_echelon", counting)
+    return calls
+
+
+@pytest.mark.parametrize("rows,want,path", [
+    ([[PRIME]], 1, [PRIME, None]),
+    ([[1, 2], [3, 6 + 5 * PRIME]], 2, [PRIME, None]),                 # determinant 5p
+    ([[PRIME, 0, 0], [0, 2 * PRIME, 0], [0, 0, 1]], 3, [PRIME, None]),  # rank 1 mod p
+    ([[PRIME, 2 * PRIME], [1, 2]], 1, [PRIME, None]),                 # deficient over Q too
+    ([[Fraction(1, PRIME), 1], [0, 1]], 2, [None]),                   # a denominator vanishes mod p
+    ([[Fraction(1, 3 * PRIME), Fraction(2, 3 * PRIME)], [1, 2]], 1, [None]),
+    ([[Fraction(1, 2), 1], [0, 3]], 2, [PRIME]),                      # full mod p: no Bareiss
+])
+def test_q_rank_where_the_reduction_falls_short(monkeypatch, rows, want, path):
+    # the rank mod p is only a lower bound: where it falls short of
+    # min(nrows, ncols), or cannot be taken, Bareiss decides
+    m = DenseMatrix.from_rows(QQ, rows)
+    calls = _echelon_calls(monkeypatch)
+    assert m.rank() == reference_kernel(m)[0] == want
+    assert calls == path
+
+
+def _mixed_q_entry(rng, fractional):
+    """A small integer, a multiple of p, or a fraction whose denominator may be divisible by p."""
+    choices = [rng.randint(-9, 9), rng.randint(-3, 3) * PRIME]
+    if fractional:
+        choices.append(Fraction(rng.randint(-9, 9), rng.choice((2, 3, PRIME, 2 * PRIME))))
+    return rng.choice(choices)
+
+
+def test_q_rank_matches_the_reference_on_a_mixed_corpus(monkeypatch):
+    # planted-rank integer and fractional matrices whose entries are often
+    # multiples of p: every path of DenseMatrix.rank over Q is taken
+    rng = random.Random("q-rank")
+    shapes = [(0, 0), (0, 6), (6, 0), (1, 8), (8, 1), (2, 8), (8, 2), (3, 7), (7, 3), (6, 6)]
+    shapes += [(rng.randint(0, 8), rng.randint(0, 8)) for _ in range(300)]
+    calls = _echelon_calls(monkeypatch)
+    paths = {}
+    for r, c in shapes:
+        fractional = rng.random() < 0.5
+        k = rng.randint(0, min(r, c))
+        a = [[_mixed_q_entry(rng, fractional) for _ in range(k)] for _ in range(r)]
+        b = [[_mixed_q_entry(rng, fractional) for _ in range(c)] for _ in range(k)]
+        rows = [[QQ.coerce(sum(a[i][t] * b[t][j] for t in range(k))) for j in range(c)]
+                for i in range(r)]
+        m = DenseMatrix(QQ, r, c, rows)
+        calls.clear()
+        got = m.rank()
+        path = tuple(calls)
+        assert got == reference_kernel(m)[0], (r, c, rows)
+        key = (path, got == min(r, c))
+        paths[key] = paths.get(key, 0) + 1
+    assert paths.get(((PRIME,), True), 0) >= 20, paths          # full mod p
+    assert paths.get(((PRIME, None), True), 0) >= 5, paths      # full over Q only
+    assert paths.get(((PRIME, None), False), 0) >= 20, paths    # deficient over Q
+    assert paths.get(((None,), True), 0) + paths.get(((None,), False), 0) >= 5, paths
+
+
+def test_clean_q_pipelines_take_no_bareiss_rank(monkeypatch):
+    # every Q rank of a clean pencil and of a certified table is full, so
+    # the rank mod p decides each one and no Bareiss elimination runs
+    from monadlab.cohomology import cohomology_table
+    from monadlab.lines_scan import sample_line
+    from monadlab.pencil import line_status, restrict, splitting_type
+    M3, M2 = random_monad(3, 10, 3, seed=1), random_monad(2, 8, 2, seed=1)
+    line = sample_line(0, 0, QQ)
+    assert line_status(restrict(M3, line)).clean
+    calls = _echelon_calls(monkeypatch)
+    assert splitting_type(restrict(M3, line)).parts == (0,) * 4
+    assert calls and None not in calls, calls
+    calls.clear()
+    cohomology_table(M2, -7, 2)
+    assert calls and None not in calls, calls
+
+
+def test_a_q_proof_that_falls_short_reduces_once(monkeypatch):
+    # a deficient rank mod 5 falls back to Bareiss on the same map, and
+    # does not reduce it mod p again
+    L = forms_matrix(QQ, 3, [["5*x", "y", "z"]])
+    calls = _echelon_calls(monkeypatch)
+    proof = onto_everywhere(L, prime=5)
+    assert proof.full and proof.over == "Q" and calls == [5, None]
+    calls.clear()
+    assert onto_everywhere(L).over == "Fp:32003" and calls == [PRIME]
 
 
 @pytest.mark.parametrize("name", ["torsion-free", "reflexive"])
