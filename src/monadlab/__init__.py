@@ -1,10 +1,11 @@
 """monadlab: exact calculus for special monads on projective space.
 
 Build, validate and analyze three-term complexes O(-1)^v -> O^w -> O(1)^v'
-on P2 and P3 in exact arithmetic (Q or F_p): Chern invariants, regularity
-classification via degeneracy loci, twist-cohomology tables, admissibility
-and stability checks, restriction to lines, splitting types, and seeded
-jumping-line statistics over finite fields.
+on P^n, 2 <= n <= monad.MAX_N, in exact arithmetic (Q or F_p):
+twist-cohomology tables, restriction to lines and splitting types on every
+such P^n; Chern invariants, regularity classification via degeneracy loci,
+admissibility and stability checks and seeded jumping-line statistics over
+finite fields on P2 and P3.
 """
 
 from .cohomology import (

@@ -1,7 +1,7 @@
 """Exact twist cohomology of the cohomology sheaf of a special monad.
 
 Let E be the middle cohomology of O(-1)^v -> O^w -> O(1)^v' on P^n,
-n = 1, 2, 3, and write S_d for the degree-d piece of the coordinate ring.
+n >= 1, and write S_d for the degree-d piece of the coordinate ring.
 The hypercohomology spectral sequence of the twisted monad has
 E_1^{p,q} = H^q of its p-th term, nonzero only in rows q = 0 and q = n,
 because line bundles on P^n have no middle cohomology.  Every h^p(E(k))
@@ -11,19 +11,20 @@ is then a rank computation on four multiplication maps:
     b_k : W (x) S_k     -> V'(x) S_{k+1}    (sections of the right map)
 
 together with their transposes in the dual degrees j = -k-n-1 (by Serre
-duality the top cohomology of O(d) is dual to S_{-d-n-1}).  On P3:
+duality the top cohomology of O(d) is dual to S_{-d-n-1}).  With
+j = -k-n-1:
 
-    h^0 = dim ker b_k - rank a_k
-    h^1 = v'|S_{k+1}| - rank b_k
-    h^2 = v|S_{j+1}| - rank a*_j              j = -k-4
-    h^3 = (w|S_j| - rank a*_j) - rank b*_{j-1}
+    h^0     = dim ker b_k - rank a_k
+    h^1     = v'|S_{k+1}| - rank b_k
+    h^{n-1} = v|S_{j+1}| - rank a*_j
+    h^n     = (w|S_j| - rank a*_j) - rank b*_{j-1}
 
-On P2 the two middle contributions combine into h^1, with j = -k-3.  On
-P1 they fall into h^0 and h^1, and the sequence has one differential
-between nonzero terms, d_2 : H^1(O(-2))^v -> H^0(O)^v' at k = -1, whose
-matrix is B_t A_s (Okonek-Schneider-Spindler, ch. II); its rank is
-subtracted from both h^0 and h^1.  complex_cohomology is that one formula
-for all three n.
+and every other h^p is 0.  On P2 the two middle contributions add up in
+h^1.  On P1 they fall into h^0 and h^1, and the sequence has one
+differential between nonzero terms, d_2 : H^1(O(-2))^v -> H^0(O)^v' at
+k = -1, whose matrix is B_t A_s (Okonek-Schneider-Spindler, ch. II); its
+rank is subtracted from both h^0 and h^1.  complex_cohomology is that one
+formula for every n.
 
 Most of those ranks are known in closed form once exactlin.onto_everywhere
 has proved a map onto at every point.  If the right map B is:
@@ -40,6 +41,10 @@ cohomology_table takes both proofs once per table, with the composite
 check, from exactlin.certify; pencil.p1_cohomology holds both for a clean
 line.  A table refuses a complex whose B proof fails: B is then not onto
 at some point, so the complex is not a monad (a bad reduction mod p, say).
+When the A^T proof fails, as for a sheaf that is not locally free, a table
+decides as validate does whether A is injective as a sheaf map (full
+column rank at one seeded point, else exactlin.generically_injective) and
+refuses a left map that is not.
 twist_cohomology is one column of a table, with the same proofs.
 A map out of a zero space has rank 0 with or without proofs, and is never
 built: a_k for k <= 0, b_k for k < 0, a*_j for j < 0 and b*_{j-1} for
@@ -51,7 +56,7 @@ spaces; tests/test_closed_forms.py compares the closed forms with an
 oracle that eliminates all four ranks, empty maps included.
 
 The Euler characteristic identity is asserted on every call, and
-cohomology_table adds h^1(E(-1)) = v', h^2(E(-3)) = v on P2 and P3; a
+cohomology_table adds h^1(E(-1)) = v' and h^{n-1}(E(-n)) = v; a
 failure signals an engine defect, never a property of the input.  Where a
 closed form stands in for a rank, the Euler identity partly restates it
 and checks less; the comparison with the all-ranks path carries the rest
@@ -60,9 +65,11 @@ of that check.
 
 from __future__ import annotations
 
+from math import comb
+
 from .errors import MonadLabError
 from .exactlin import LinearFormMatrix, certify, monomial_count, mult_map
-from .monad import SpecialMonad, dualize, invariants
+from .monad import SpecialMonad, _check_alpha_injective, dualize, invariants
 
 DEFAULT_WINDOW = (-6, 2)
 MAX_TWISTS = 10 ** 4
@@ -70,21 +77,15 @@ MAX_CELLS = 10 ** 7      # largest eliminated matrix of a table: up to about 4 s
 
 
 def chi_line_bundle(n: int, d: int) -> int:
-    """Euler characteristic of O(d) on P^n, as a polynomial in d."""
-    if n == 3:
-        return (d + 1) * (d + 2) * (d + 3) // 6
-    if n == 2:
-        return (d + 1) * (d + 2) // 2
-    if n == 1:
-        return d + 1
-    raise ValueError(f"unsupported ambient dimension {n}")
+    """Euler characteristic of O(d) on P^n: C(d+n, n) as a polynomial in d."""
+    return comb(d + n, n) if d >= 0 else (-1) ** n * comb(-d - 1, n)
 
 
 def complex_cohomology(A: LinearFormMatrix, B: LinearFormMatrix, k: int,
                        at_onto: bool = False, b_onto: bool = False) -> tuple[int, ...]:
     """(h^0, ..., h^n) of the middle cohomology of O(k-1)^v -> O(k)^w -> O(k+1)^v'.
 
-    n = A.nvars - 1 is 1, 2 or 3.  Exact, provided A is injective and B
+    n = A.nvars - 1 is any n >= 1.  Exact, provided A is injective and B
     surjective at every point and B*A = 0: the caller checks these.  Only
     the d_2 of P^1 at k = -1 is a differential between nonzero terms; the
     negativity and Euler checks catch any other engine defect.
@@ -140,10 +141,11 @@ def complex_cohomology(A: LinearFormMatrix, B: LinearFormMatrix, k: int,
 def _twist_column(M: SpecialMonad, k: int, at_onto: bool = False,
                   b_onto: bool = False) -> tuple[int, ...]:
     out = complex_cohomology(M.alpha, M.beta, k, at_onto, b_onto)
+    n = M.ambient_n
     if k == -1 and out[1] != M.v_prime:
         raise MonadLabError(f"h^1(E(-1)) = {out[1]} != v' = {M.v_prime}")
-    if M.ambient_n == 3 and k == -3 and out[2] != M.v:
-        raise MonadLabError(f"h^2(E(-3)) = {out[2]} != v = {M.v}")
+    if k == -n and out[n - 1] != M.v:
+        raise MonadLabError(f"h^{n - 1}(E({k})) = {out[n - 1]} != v = {M.v}")
     return out
 
 
@@ -204,7 +206,8 @@ def cohomology_table(M: SpecialMonad, k_min: int, k_max: int) -> CohomologyTable
     The monad is certified once per table (exactlin.certify): the composite
     is checked and both onto_everywhere proofs are taken; see the module
     docstring for the ranks they fix.  A right map that is not onto at
-    every point is refused, since the complex is then not a monad.  An
+    every point, or a left map that is not injective as a sheaf map, is
+    refused, since the complex is then not a monad.  An
     empty window, one wider than MAX_TWISTS, or one that would eliminate a
     matrix of more than MAX_CELLS cells is refused before any twist's rank.
     """
@@ -223,6 +226,8 @@ def cohomology_table(M: SpecialMonad, k_min: int, k_max: int) -> CohomologyTable
             if cells > MAX_CELLS:
                 raise ValueError(f"twist {k} would eliminate a matrix of {cells} cells, "
                                  f"over the cap {MAX_CELLS}")
+        if not _check_alpha_injective(M).passed:
+            raise MonadLabError("left map is not injective; not a monad")
     cols = [_twist_column(M, k, cert.left, True) for k in range(k_min, k_max + 1)]
     rows = [[col[p] for col in cols] for p in range(M.ambient_n + 1)]
     return CohomologyTable(M.ambient_n, k_min, k_max, rows)
@@ -240,21 +245,16 @@ def twist_cohomology(M: SpecialMonad, k: int) -> tuple[int, ...]:
 def _vanishing_demanded(n: int, p: int, k: int) -> bool:
     """Whether h^p(E(k)) = 0 is part of the admissibility pattern.
 
-    On P3: h^0 for k <= -1, h^1 for k <= -2, h^2 for k >= -2, h^3 for
-    k >= -3.  On P2 the pattern is the instanton-sheaf one: h^0 for
-    k <= -1 and h^2 for k >= -2, with no condition on h^1 (the kernel
-    sequence forces h^1(E(-2)) = v for every monad on P2, so the
-    mechanical analogue of the P3 pattern is unsatisfiable).
+    One rule on P2 and P3: h^p for p + k >= 0 when p >= 2, and h^p for
+    p + k <= -1 when p <= 1 and p < n - 1.  On P3 that is h^0 for
+    k <= -1, h^1 for k <= -2, h^2 for k >= -2 and h^3 for k >= -3.  On P2
+    it is the instanton-sheaf pattern, h^0 for k <= -1 and h^2 for
+    k >= -2, with no condition on h^1 = h^{n-1}: every monad has
+    h^{n-1}(E(-n)) = v, so the P3 condition on h^1 is unsatisfiable there.
     """
-    if n == 2:
-        if p == 0:
-            return k <= -1
-        if p == 2:
-            return k >= -2
-        return False
-    if p <= 1:
-        return p + k <= -1
-    return p + k >= 0
+    if p >= 2:
+        return p + k >= 0
+    return p < n - 1 and p + k <= -1
 
 
 class AdmissibilityReport:
@@ -278,8 +278,15 @@ class AdmissibilityReport:
         }
 
 
+def _pattern_defined(n: int) -> None:
+    if n > 3:
+        raise ValueError(f"the admissibility pattern is defined on P2 and P3, not P{n}")
+
+
 def admissibility_violations(table: CohomologyTable) -> list[tuple[int, int]]:
-    """(p, k) entries of a table that break the admissibility vanishing pattern."""
+    """(p, k) entries of a table that break the admissibility vanishing
+    pattern; refused on P^n for n > 3, where the pattern is not defined."""
+    _pattern_defined(table.ambient_n)
     out = []
     for p in range(table.ambient_n + 1):
         for k in range(table.k_min, table.k_max + 1):
@@ -293,7 +300,10 @@ def admissibility_check(M: SpecialMonad, window: tuple[int, int] = DEFAULT_WINDO
 
     The window must cover [-6, 2]; the monad construction guarantees the
     pattern beyond any finite window, and the report states the window.
+    The pattern is defined on P2 and P3 only, and a larger n is refused
+    before any table is built.
     """
+    _pattern_defined(M.ambient_n)
     k_min, k_max = window
     if k_min > -6 or k_max < 2:
         raise ValueError(f"window [{k_min}, {k_max}] must cover [-6, 2]")

@@ -4,7 +4,7 @@ A special monad is a three-term complex
 
     O(-1)^v --alpha--> O^w --beta--> O(1)^v'
 
-on P^n (n = 2 or 3) whose left map is injective as a sheaf map and whose
+on P^n (2 <= n <= MAX_N) whose left map is injective as a sheaf map and whose
 right map is surjective at every point.  The middle cohomology is a
 coherent sheaf; everything this package computes is a function of the
 dimension triple (v, w, v') and the two matrices of linear forms.
@@ -44,6 +44,7 @@ from .exactlin import (
 
 COEFF_BOUND = 9          # generator coefficient box [-9, 9]
 GENERATOR_RETRIES = 200
+MAX_N = 7                # largest ambient dimension P^n a monad may live on
 
 EXAMPLE_NAMES = ("torsion-free", "reflexive", "locally-free")
 
@@ -54,8 +55,8 @@ class SpecialMonad:
     __slots__ = ("ambient_n", "v", "w", "v_prime", "alpha", "beta", "field")
 
     def __init__(self, ambient_n: int, alpha: LinearFormMatrix, beta: LinearFormMatrix):
-        if ambient_n not in (2, 3):
-            raise ShapeMismatchError(f"ambient dimension must be 2 or 3, got {ambient_n}")
+        if type(ambient_n) is not int or not 2 <= ambient_n <= MAX_N:
+            raise ShapeMismatchError(f"ambient dimension must be 2 to {MAX_N}, got {ambient_n!r}")
         nvars = ambient_n + 1
         if alpha.nvars != nvars or beta.nvars != nvars:
             raise ShapeMismatchError("maps must use one linear form per homogeneous coordinate")
@@ -95,14 +96,15 @@ class SpecialMonad:
                 f"v'={self.v_prime}, {self.field!r})")
 
 
-def special_monad_exists(v: int, w: int, v_prime: int) -> bool:
-    """Existence criterion (Floystad) for dimensions of a special monad on P3.
+def special_monad_exists(v: int, w: int, v_prime: int, ambient_n: int = 3) -> bool:
+    """Existence criterion (Floystad) for dimensions of a special monad on P^n.
 
     Implemented verbatim, including its asymmetry in v and v'.
     """
     if min(v, w, v_prime) < 0:
         raise ValueError("dimensions must be non-negative")
-    return (w >= 2 * v_prime + 2 and w >= v + v_prime) or (w >= v + v_prime + 3)
+    n = ambient_n
+    return (w >= 2 * v_prime + n - 1 and w >= v + v_prime) or (w >= v + v_prime + n)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +147,8 @@ def trivial_monad(w: int, ambient_n: int = 3, field=QQ) -> SpecialMonad:
 
 
 class ChernData:
-    """Rank and Chern data of the cohomology sheaf, determined by (v, w, v'); immutable."""
+    """Rank and Chern data of the cohomology sheaf on P2 or P3, determined by
+    (v, w, v'); immutable."""
 
     __slots__ = ("rank", "c1", "ch2", "c2", "ch3", "c3")
     def __init__(self, rank: int, c1: int, ch2: Fraction, c2: int,
@@ -154,7 +157,7 @@ class ChernData:
         self.c1 = c1
         self.ch2 = ch2
         self.c2 = c2
-        self.ch3 = ch3           # None on P2
+        self.ch3 = ch3           # None on P2; invariants refuses n > 3
         self.c3 = c3
 
     def to_json_obj(self):
@@ -169,7 +172,9 @@ class ChernData:
 
 
 def invariants(M: SpecialMonad) -> ChernData:
-    """Chern data from ch(E) = w - v*ch(O(-1)) - v'*ch(O(1))."""
+    """Chern data from ch(E) = w - v*ch(O(-1)) - v'*ch(O(1)), on P2 and P3."""
+    if M.ambient_n > 3:
+        raise ValueError(f"Chern data stop at c3: invariants need P2 or P3, not P{M.ambient_n}")
     v, w, vp = M.dims()
     r = w - v - vp
     if r < 0:
@@ -376,12 +381,16 @@ def random_monad(v: int, w: int, v_prime: int, seed: int = 0, field=QQ,
     the one with the fewer constraints: the left map when v <= v', the
     right map otherwise (for v > v' a generic left map admits no nonzero
     right map at all).  Deterministic in (seed, dims, field).
+
+    Known limit: dims that pass special_monad_exists may still never be
+    drawn.  (1, 3, 1) on P2 exists, but a generic left map leaves every
+    right map with a common zero, so it ends in RetryExhaustedError.
     """
     if min(v, w, v_prime) < 0:
         raise ValueError("dimensions must be non-negative")
     if v == 0 and v_prime == 0:
         return trivial_monad(w, ambient_n, field)
-    if not special_monad_exists(v, w, v_prime):
+    if not special_monad_exists(v, w, v_prime, ambient_n):
         raise NotRepresentableError(
             f"no special monad with (v, w, v') = ({v}, {w}, {v_prime})"
         )
@@ -514,7 +523,8 @@ def decode(data: bytes | str) -> SpecialMonad:
     for key in ("ambient_n", "field", "v", "w", "v_prime", "alpha", "beta"):
         _require(key in obj, f"missing key {key!r}", "$")
     n = obj["ambient_n"]
-    _require(n in (2, 3), "ambient_n must be 2 or 3", "ambient_n")
+    _require(type(n) is int and 2 <= n <= MAX_N,
+             f"ambient_n must be an integer from 2 to {MAX_N}", "ambient_n")
     _require(isinstance(obj["field"], str), "field must be a string", "field")
     field = exactlin.field_from_name(obj["field"])
     dims = {}

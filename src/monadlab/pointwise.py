@@ -3,10 +3,13 @@
 The cohomology sheaf of a validated monad is classified by the dimension
 of the locus where the left map drops below full column rank:
 
-    empty locus      -> locally free
-    finite locus     -> reflexive          (P3)
-    curve            -> torsion-free       (P3)
-    anything larger  -> coherent only
+    empty locus        -> locally free
+    dimension <= n - 3 -> reflexive        (a finite locus on P3)
+    dimension <= n - 2 -> torsion-free     (a curve on P3, points on P2)
+    anything larger    -> coherent only
+
+(Okonek-Schneider-Spindler, ch. II).  The level names are given on P2 and
+P3 only; classify refuses a larger n.
 
 When the short side of the matrix is a single column or row the locus is
 a linear subspace and the dimension is exact.  Otherwise each level is
@@ -188,19 +191,20 @@ class ClassificationReport:
 def classify(M, budget: DegeneracyBudget | None = None) -> ClassificationReport:
     """Regularity level of the cohomology sheaf from the left-map degeneracy.
 
-    On P3: empty locus -> locally free, points -> reflexive, a curve ->
-    torsion-free.  On P2 a reflexive sheaf is already locally free, so a
-    finite locus reports torsion-free.
+    An empty locus is locally free; a locus of dimension <= n - 3 is
+    reflexive and one of dimension <= n - 2 torsion-free.  So on P2 a
+    reflexive sheaf is already locally free, and a finite locus reports
+    torsion-free.  Refused on P^n for n > 3, where the levels are not named.
     """
     n = M.ambient_n
+    if n > 3:
+        raise ValueError(f"the regularity levels are named on P2 and P3, not P{n}")
     deg = degeneracy_dim(M.alpha, budget)
     confidence = "exact" if deg.exact else "monte_carlo"
-    if deg.kind == "empty":
-        level = "locally_free"
-    elif n == 3:
-        level = {0: "reflexive", 1: "torsion_free"}.get(deg.dim, "coherent_only")
-    else:
-        level = "torsion_free" if deg.dim == 0 else "coherent_only"
+    level = ("locally_free" if deg.kind == "empty"
+             else "reflexive" if deg.dim <= n - 3
+             else "torsion_free" if deg.dim <= n - 2
+             else "coherent_only")
     warnings = []
     if n == 3 and level == "reflexive":
         inv = monad_mod.invariants(M)

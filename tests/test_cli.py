@@ -279,6 +279,45 @@ def test_tables_refuse_a_bad_reduction(capsys, tmp_path):
         assert err == "monadlab: right map is not onto at every point; not a monad\n"
 
 
+def test_tables_refuse_a_left_map_that_is_not_injective(capsys, tmp_path):
+    # alpha = 0 with beta = (-y, x, z, w) is not a monad; every table
+    # refuses it, whatever the window
+    from monadlab import QQ, SpecialMonad, encode, forms_matrix
+    M = SpecialMonad(3, forms_matrix(QQ, 4, [["0"]] * 4),
+                     forms_matrix(QQ, 4, [["-y", "x", "z", "w"]]))
+    path = tmp_path / "a0.json"
+    path.write_bytes(encode(M))
+    for argv in (("cohomology",), ("cohomology", "--kmax", "0"), ("admissible",),
+                 ("stability",)):
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out) == (1, ""), argv
+        assert err == "monadlab: left map is not injective; not a monad\n"
+
+
+def test_generate_on_p2_the_dims_that_p3_bounds_refuse(capsys, tmp_path):
+    path = tmp_path / "gen.json"
+    for dims in ("0,3,1", "0,4,2"):
+        code, _, _ = run(capsys, "generate", "--dims", dims, "--ambient", "2",
+                         "--out", str(path))
+        assert code == 0, dims
+        assert json.loads(path.read_text())["ambient_n"] == 2
+        code, out, _ = run(capsys, "validate", str(path))
+        assert code == 0 and out.endswith("verdict: valid monad\n"), dims
+
+
+def test_a_float_ambient_dimension_is_a_bad_input_file(capsys, tmp_path):
+    # 2.0 == 2 passed a membership test, and validate then died in mult_map
+    from monadlab import encode, random_monad
+    data = encode(random_monad(1, 4, 1, seed=0, ambient_n=2)).decode("utf-8")
+    for value in ("2.0", "true", "8"):
+        path = tmp_path / "m.json"
+        path.write_text(data.replace('"ambient_n": 2', f'"ambient_n": {value}'))
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out) == (2, ""), value
+        assert err == ("monadlab: bad input file: ambient_n must be an integer "
+                       "from 2 to 7 (at ambient_n)\n")
+
+
 def test_jumping_scan_at_prime_2(capsys, tmp_path):
     # beta mod 2 of this monad drops rank at all 15 points of P3(F_2), so
     # every line is degenerate; deciding that takes no interpolation points

@@ -8,9 +8,12 @@ report, error text or exit code shows here, case by case.
 The inputs are the three examples; a fractional copy of the locally-free
 one (row 0 of alpha divided by 7, column 0 of beta multiplied by 7, an
 isomorphic monad whose coefficients are not all integers); the random
-monads (2,6,2) seed 0 and (2,8,2) seed 1 over Q; a (1,4,1) on P2; and the
-reduction mod 7 of (2,6,2) seed 3, which is not a monad.  A command that
-names {out} writes a file there; its bytes are pinned as a fourth digest.
+monads (2,6,2) seed 0 and (2,8,2) seed 1 over Q; a (1,4,1) on P2; the
+reduction mod 7 of (2,6,2) seed 3, which is not a monad; the
+null-correlation monad on P5; copies of the P2 monad whose ambient_n is 8
+or 2.0; and alpha = 0 with beta = (-y, x, z, w), which is not a monad
+either.  A command that names {out} writes a file there; its bytes are
+pinned as a fourth digest.
 
 The parser surface is pinned too: --help of the program and of each
 subcommand, and its usage errors.  A command may start with NAME=value
@@ -44,7 +47,8 @@ except ImportError:  # the script form below runs without pytest
     pytest = SimpleNamespace(fixture=_keep, mark=SimpleNamespace(parametrize=_keep))
 
 from monadlab.cli import main
-from monadlab.monad import encode, example_monad, random_monad, to_prime_field
+from monadlab.exactlin import QQ, forms_matrix
+from monadlab.monad import SpecialMonad, encode, example_monad, random_monad, to_prime_field
 
 # (name, argv with {name} standing for an input file) -> digests
 CASES = [
@@ -111,6 +115,19 @@ CASES = [
     ("badprime-validate", "MONADLAB_PRIME=abc validate {lf}"),
     ("badprime-help", "MONADLAB_PRIME=abc --help"),
     ("badprime-jumping", "MONADLAB_PRIME=abc jumping-scan {lf} --samples 20"),
+    ("validate-p5", "validate {p5} --format json"),
+    ("cohomology-p5", "cohomology {p5} --kmin -8 --kmax 2 --format json"),
+    ("splitting-p5", "splitting {p5} --seed 1"),
+    ("dsum-p5", "dsum {p5} {p5}"),
+    ("invariants-p5", "invariants {p5}"),
+    ("classify-p5", "classify {p5}"),
+    ("admissible-p5", "admissible {p5}"),
+    ("stability-p5", "stability {p5}"),
+    ("jumping-p5", "jumping-scan {p5} --prime 101 --samples 20"),
+    ("validate-n8", "validate {n8}"),
+    ("validate-f2", "validate {f2}"),
+    ("generate-p2-031", "generate --dims 0,3,1 --ambient 2"),
+    ("cohomology-a0", "cohomology {a0}"),
 ]
 
 GOLDEN = {
@@ -188,6 +205,19 @@ GOLDEN = {
     'badprime-validate': ('e3b0c44298fc1c14', '53d7023d94f82750', 2),
     'badprime-help': ('e3b0c44298fc1c14', '53d7023d94f82750', 2),
     'badprime-jumping': ('e3b0c44298fc1c14', '53d7023d94f82750', 2),
+    'validate-p5': ('1c66fb6d5a6d70d7', 'e3b0c44298fc1c14', 0),
+    'cohomology-p5': ('1ce1878df349ce93', 'e3b0c44298fc1c14', 0),
+    'splitting-p5': ('56e38dc0c8f8c324', 'e3b0c44298fc1c14', 0),
+    'dsum-p5': ('70b1a7b85b3f41d3', 'e3b0c44298fc1c14', 0),
+    'invariants-p5': ('e3b0c44298fc1c14', '75318a1c81c46d2b', 2),
+    'classify-p5': ('e3b0c44298fc1c14', '853fc4f591f1f35c', 2),
+    'admissible-p5': ('e3b0c44298fc1c14', '5624936db43604d7', 2),
+    'stability-p5': ('e3b0c44298fc1c14', '853fc4f591f1f35c', 2),
+    'jumping-p5': ('e3b0c44298fc1c14', '853fc4f591f1f35c', 2),
+    'validate-n8': ('e3b0c44298fc1c14', '72094a7bf540a66f', 2),
+    'validate-f2': ('e3b0c44298fc1c14', '72094a7bf540a66f', 2),
+    'generate-p2-031': ('e3c3a58e0a51ff48', 'e3b0c44298fc1c14', 0),
+    'cohomology-a0': ('e3b0c44298fc1c14', 'b3c8199b078e8999', 1),
 }
 
 # Python 3.13's argparse wraps the program's usage line differently
@@ -208,7 +238,18 @@ def _fractional_lf() -> bytes:
     return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
+def _with_ambient(data: bytes, ambient_n) -> bytes:
+    obj = json.loads(data)
+    obj["ambient_n"] = ambient_n
+    return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8")
+
+
 def write_inputs(directory) -> dict:
+    p2 = encode(random_monad(1, 4, 1, seed=0, ambient_n=2))
+    p5 = SpecialMonad(5, forms_matrix(QQ, 6, [["x0"], ["x1"], ["x2"], ["x3"], ["x4"], ["x5"]]),
+                      forms_matrix(QQ, 6, [["-x1", "x0", "-x3", "x2", "-x5", "x4"]]))
+    a0 = SpecialMonad(3, forms_matrix(QQ, 4, [["0"], ["0"], ["0"], ["0"]]),
+                      forms_matrix(QQ, 4, [["-y", "x", "z", "w"]]))
     monads = {
         "tf": encode(example_monad("torsion-free")),
         "rf": encode(example_monad("reflexive")),
@@ -216,8 +257,12 @@ def write_inputs(directory) -> dict:
         "lf7": _fractional_lf(),
         "s0": encode(random_monad(2, 6, 2, seed=0)),
         "s1": encode(random_monad(2, 8, 2, seed=1)),
-        "p2": encode(random_monad(1, 4, 1, seed=0, ambient_n=2)),
+        "p2": p2,
         "bad7": encode(to_prime_field(random_monad(2, 6, 2, seed=3), 7)),
+        "p5": encode(p5),
+        "n8": _with_ambient(p2, 8),
+        "f2": _with_ambient(p2, 2.0),
+        "a0": encode(a0),
     }
     paths = {}
     for name, data in monads.items():

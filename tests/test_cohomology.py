@@ -11,6 +11,7 @@ import pytest
 
 from monadlab import (
     CohomologyTable,
+    MonadLabError,
     NotLocallyFreeError,
     QQ,
     SpecialMonad,
@@ -330,3 +331,38 @@ def test_a_clean_pencil_splits_with_two_maps(monkeypatch):
     assert splitting_type(pc).parts == (0, 0, 0, 0)
     # b_0 and a*_0 (twist -2); the d_2 at twist -1 is one product, no map
     assert len(built) == 2 and all(r and c for r, c in built), built
+
+
+def _zero_left_map():
+    """alpha = 0 and beta = (-y, x, z, w): beta is onto everywhere and the
+    composite vanishes, but the left map is not injective, so no monad."""
+    return SpecialMonad(3, forms_matrix(QQ, 4, [["0"]] * 4),
+                        forms_matrix(QQ, 4, [["-y", "x", "z", "w"]]))
+
+
+def test_tables_refuse_a_left_map_that_is_not_injective():
+    # the window [-6, 2] reached the Euler guard at twist 1, and [-6, 0]
+    # returned a table
+    M = _zero_left_map()
+    assert not validate(M).alpha_injective.passed
+    for window in ((-6, 2), (-6, 0)):
+        with pytest.raises(MonadLabError, match="^left map is not injective; not a monad$"):
+            cohomology_table(M, *window)
+    with pytest.raises(MonadLabError, match="left map is not injective"):
+        twist_cohomology(M, 0)
+
+
+def test_a_sheaf_not_locally_free_takes_no_injectivity_proof(monkeypatch):
+    # tf+tf has v = 2 and a failing A^T proof; as in validate, one seeded
+    # point of full column rank shows its left map injective, so no table
+    # builds generically_injective's mult_map(alpha, v-1), whose v*w*|S_{v-1}|*|S_v|
+    # cells grow with v and not with the window.  On [-6, 1] no twist's rank
+    # has that shape either (a_2 would)
+    from monadlab import certify
+    tf = example_monad("torsion-free")
+    M = direct_sum(tf, tf)
+    assert M.v == 2 and not certify(M.alpha, M.beta).left
+    built = _count_mult_maps(monkeypatch)
+    cohomology_table(M, -6, 1)
+    proof_shape = (M.w * chi_line_bundle(3, M.v), M.v * chi_line_bundle(3, M.v - 1))
+    assert built and proof_shape not in built, built
