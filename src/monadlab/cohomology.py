@@ -26,34 +26,42 @@ k = -1, whose matrix is B_t A_s (Okonek-Schneider-Spindler, ch. II); its
 rank is subtracted from both h^0 and h^1.  complex_cohomology is that one
 formula for every n.
 
-Most of those ranks are known in closed form once exactlin.onto_everywhere
-has proved a map onto at every point.  If the right map B is:
-
-    rank b_k       = v'|S_{k+1}|  for k >= v'-1   (onto_everywhere's theorem)
-    rank b*_{j-1}  = v'|S_{j-1}|  for every j     (B^T injective as a sheaf map)
-
-If A^T is, that is if the left map A is injective at every point:
+Most of those ranks are known in closed form once the complex is known
+to be a monad.  A caller vouches for that by passing the complex's
+exactlin.Certificate, and passes one only after it has shown all three
+monad conditions: B*A = 0 (exactlin.certify), B onto at every point
+(cert.right) and A injective as a sheaf map (cert.left, or a separate
+proof).  Then, with H^0 left exact and onto_everywhere's theorem:
 
     rank a_k       = v|S_{k-1}|   for every k     (A injective as a sheaf map)
-    rank a*_j      = v|S_{j+1}|   for j >= v-1    (onto_everywhere's theorem)
+    rank b*_{j-1}  = v'|S_{j-1}|  for every j     (B^T injective as a sheaf map)
+    rank b_k       = v'|S_{k+1}|  for k >= v'-1   (B onto at every point)
+    rank a*_j      = v|S_{j+1}|   for j >= v-1    (A^T onto at every point,
+                                                   only when cert.left holds)
 
-cohomology_table takes both proofs once per table, with the composite
-check, from exactlin.certify; pencil.p1_cohomology holds both for a clean
-line.  A table refuses a complex whose B proof fails: B is then not onto
-at some point, so the complex is not a monad (a bad reduction mod p, say).
-When the A^T proof fails, as for a sheaf that is not locally free, a table
-decides as validate does whether A is injective as a sheaf map (full
-column rank at one seeded point, else exactlin.generically_injective) and
-refuses a left map that is not.
-twist_cohomology is one column of a table, with the same proofs.
-A map out of a zero space has rank 0 with or without proofs, and is never
-built: a_k for k <= 0, b_k for k < 0, a*_j for j < 0 and b*_{j-1} for
-j <= 0.  Everything else is eliminated: b_k for 0 <= k < v'-1, a*_j for
-0 <= j < v-1, every other left-map rank when the A^T proof fails
-(torsion-free and reflexive sheaves), and the P1 d_2.  complex_cohomology
-called without proofs eliminates every rank of a map between nonzero
-spaces; tests/test_closed_forms.py compares the closed forms with an
-oracle that eliminates all four ranks, empty maps included.
+cohomology_table certifies once per table (exactlin.certify).  It refuses
+a complex whose B proof fails: B is then not onto at some point, so the
+complex is not a monad (a bad reduction mod p, say).  When the A^T proof
+fails, as for a sheaf that is not locally free, it decides as validate
+does whether A is injective as a sheaf map (full column rank at one
+seeded point, else exactlin.generically_injective) and refuses a left map
+that is not.  pencil.p1_cohomology passes the certificate of a clean line,
+which holds both proofs.  twist_cohomology is one column of a table.
+A map out of a zero space has rank 0 with or without a certificate, and is
+never built: a_k for k <= 0, b_k for k < 0, a*_j for j < 0 and b*_{j-1}
+for j <= 0.  With a certificate only these are eliminated: b_k for
+0 <= k < v'-1, a*_j for 0 <= j < v-1, a*_j for every j >= 0 when the A^T
+proof fails (the negative twists of torsion-free and reflexive sheaves),
+and the P1 d_2.  complex_cohomology called without a certificate
+eliminates every rank of a map between nonzero spaces;
+tests/test_closed_forms.py compares the closed forms with an oracle that
+eliminates all four ranks, empty maps included.
+
+The sections of the dual sheaf E^v = Hom(E, O) need no second monad.  By
+Serre duality on P^n, which holds for every coherent sheaf (Hartshorne,
+III.7.1), Hom(E(-k-n-1), O(-n-1)) is dual to H^n(E(-k-n-1)), so
+h^0(E^v(k)) = h^n(E(-k-n-1)): stability_report and dual_vanishing_check
+read it from E's own table.
 
 The Euler characteristic identity is asserted on every call, and
 cohomology_table adds h^1(E(-1)) = v' and h^{n-1}(E(-n)) = v; a
@@ -68,7 +76,7 @@ from __future__ import annotations
 from math import comb
 
 from .errors import MonadLabError
-from .exactlin import LinearFormMatrix, certify, monomial_count, mult_map
+from .exactlin import Certificate, LinearFormMatrix, certify, monomial_count, mult_map
 from .monad import SpecialMonad, _check_alpha_injective, dualize, invariants
 
 DEFAULT_WINDOW = (-6, 2)
@@ -82,19 +90,20 @@ def chi_line_bundle(n: int, d: int) -> int:
 
 
 def complex_cohomology(A: LinearFormMatrix, B: LinearFormMatrix, k: int,
-                       at_onto: bool = False, b_onto: bool = False) -> tuple[int, ...]:
+                       cert: Certificate | None = None) -> tuple[int, ...]:
     """(h^0, ..., h^n) of the middle cohomology of O(k-1)^v -> O(k)^w -> O(k+1)^v'.
 
-    n = A.nvars - 1 is any n >= 1.  Exact, provided A is injective and B
-    surjective at every point and B*A = 0: the caller checks these.  Only
-    the d_2 of P^1 at k = -1 is a differential between nonzero terms; the
-    negativity and Euler checks catch any other engine defect.
+    n = A.nvars - 1 is any n >= 1.  Exact, provided A is injective as a
+    sheaf map, B surjective at every point and B*A = 0: the caller checks
+    these.  Only the d_2 of P^1 at k = -1 is a differential between nonzero
+    terms; the negativity and Euler checks catch any other engine defect.
 
-    at_onto and b_onto say that exactlin.onto_everywhere has proved A^T,
-    respectively B, onto at every point; the ranks those proofs fix are
-    then taken in closed form (module docstring).  A map out of a zero
-    space S_d, d < 0, has rank 0 and is never built.  Without proofs every
-    rank of a map between nonzero spaces is eliminated.
+    cert is the complex's exactlin.Certificate, passed only by a caller
+    that has shown all three conditions.  With it, a_k and b*_{j-1} are
+    taken in closed form at every twist, b_k from k = v'-1 on, and a*_j
+    from j = v-1 on when cert.left holds (module docstring).  A map out of
+    a zero space S_d, d < 0, has rank 0 and is never built.  Without a
+    certificate every rank of a map between nonzero spaces is eliminated.
     """
     n = A.nvars - 1
     v, w, vp = A.ncols, A.nrows, B.nrows
@@ -102,12 +111,12 @@ def complex_cohomology(A: LinearFormMatrix, B: LinearFormMatrix, k: int,
     j = -k - n - 1
 
     # a map out of S_d = 0, d < 0, has rank 0 and is never built
-    rank_a = v * S(k - 1) if at_onto or k <= 0 else mult_map(A, k - 1).rank()
-    rank_b = (vp * S(k + 1) if b_onto and k >= vp - 1
+    rank_a = v * S(k - 1) if cert or k <= 0 else mult_map(A, k - 1).rank()
+    rank_b = (vp * S(k + 1) if cert and k >= vp - 1
               else 0 if k < 0 else mult_map(B, k).rank())
-    rank_at = (v * S(j + 1) if at_onto and j >= v - 1
+    rank_at = (v * S(j + 1) if cert and cert.left and j >= v - 1
                else 0 if j < 0 else mult_map(A.transpose(), j).rank())
-    rank_bt = vp * S(j - 1) if b_onto or j <= 0 else mult_map(B.transpose(), j - 1).rank()
+    rank_bt = vp * S(j - 1) if cert or j <= 0 else mult_map(B.transpose(), j - 1).rank()
     # E_2 terms E(p, q), p in {-1, 0, 1}, q in {0, n}, placed by total degree
     # p + q.  The two left out, E(-1, 0) = ker a_k and E(1, n) = ker b*_{j-1},
     # vanish for a monad; the first can be nonzero only for k >= 1 and the
@@ -138,9 +147,8 @@ def complex_cohomology(A: LinearFormMatrix, B: LinearFormMatrix, k: int,
     return out
 
 
-def _twist_column(M: SpecialMonad, k: int, at_onto: bool = False,
-                  b_onto: bool = False) -> tuple[int, ...]:
-    out = complex_cohomology(M.alpha, M.beta, k, at_onto, b_onto)
+def _twist_column(M: SpecialMonad, k: int, cert: Certificate) -> tuple[int, ...]:
+    out = complex_cohomology(M.alpha, M.beta, k, cert)
     n = M.ambient_n
     if k == -1 and out[1] != M.v_prime:
         raise MonadLabError(f"h^1(E(-1)) = {out[1]} != v' = {M.v_prime}")
@@ -205,32 +213,39 @@ def cohomology_table(M: SpecialMonad, k_min: int, k_max: int) -> CohomologyTable
 
     The monad is certified once per table (exactlin.certify): the composite
     is checked and both onto_everywhere proofs are taken; see the module
-    docstring for the ranks they fix.  A right map that is not onto at
-    every point, or a left map that is not injective as a sheaf map, is
-    refused, since the complex is then not a monad.  An
-    empty window, one wider than MAX_TWISTS, or one that would eliminate a
-    matrix of more than MAX_CELLS cells is refused before any twist's rank.
+    docstring for the ranks the certificate fixes.  A right map that is not
+    onto at every point, or a left map that is not injective as a sheaf
+    map, is refused, since the complex is then not a monad.  An empty
+    window, one wider than MAX_TWISTS, a proof of more than MAX_CELLS cells
+    or, when the A^T proof fails, an a*_j of more than MAX_CELLS cells (the
+    largest at k_min) is refused before any twist's rank.
     """
     if k_min > k_max:
         raise ValueError("empty twist window")
     if k_max - k_min + 1 > MAX_TWISTS:
         raise ValueError(f"twist window [{k_min}, {k_max}] exceeds the cap {MAX_TWISTS}")
+    n = M.ambient_n
+    S = lambda d: monomial_count(n + 1, d)
+    # onto_everywhere(P) eliminates mult_map(P, b-1), b = P.nrows: b|S_b| x a|S_{b-1}|
+    for what, b in (("the alpha^T proof", M.v), ("the beta proof", M.v_prime)):
+        _under_cap(what, b * S(b) * M.w * S(b - 1))
     cert = certify(M.alpha, M.beta)
     if not cert.right:
         raise MonadLabError("right map is not onto at every point; not a monad")
     if not cert.left:
-        # a_k, a*_j (j = -k-n-1) have v*w*|S_d||S_d+1| cells, d = k-1, j: most at k_max, k_min
-        n = M.ambient_n
-        for k, d in ((k_max, k_max - 1), (k_min, -k_min - n - 1)):
-            cells = M.v * M.w * monomial_count(n + 1, d) * monomial_count(n + 1, d + 1)
-            if cells > MAX_CELLS:
-                raise ValueError(f"twist {k} would eliminate a matrix of {cells} cells, "
-                                 f"over the cap {MAX_CELLS}")
+        j = -k_min - n - 1      # a*_j has v|S_{j+1}| x w|S_j| cells, most at k_min
+        _under_cap(f"twist {k_min}", M.v * S(j + 1) * M.w * S(j))
         if not _check_alpha_injective(M).passed:
             raise MonadLabError("left map is not injective; not a monad")
-    cols = [_twist_column(M, k, cert.left, True) for k in range(k_min, k_max + 1)]
-    rows = [[col[p] for col in cols] for p in range(M.ambient_n + 1)]
-    return CohomologyTable(M.ambient_n, k_min, k_max, rows)
+    cols = [_twist_column(M, k, cert) for k in range(k_min, k_max + 1)]
+    rows = [[col[p] for col in cols] for p in range(n + 1)]
+    return CohomologyTable(n, k_min, k_max, rows)
+
+
+def _under_cap(what: str, cells: int) -> None:
+    if cells > MAX_CELLS:
+        raise ValueError(f"{what} would eliminate a matrix of {cells} cells, "
+                         f"over the cap {MAX_CELLS}")
 
 
 def twist_cohomology(M: SpecialMonad, k: int) -> tuple[int, ...]:
@@ -336,13 +351,13 @@ def stability_report(M: SpecialMonad, classification) -> StabilityReport:
 
     Rank 2 torsion-free and rank 3 reflexive sheaves with c1 = 0 are
     semistable; stability is equivalent to the vanishing of H^0(E) (and of
-    H^0(E*) in rank 3).  Outside those hypotheses the verdicts stay
+    H^0(E*) in rank 3, read from E's own table by Serre duality, and only
+    when H^0(E) = 0).  Outside those hypotheses the verdicts stay
     inconclusive and the section counts are simply reported.
     """
     inv = invariants(M)
     h0 = twist_cohomology(M, 0)[0]
     notes: list[str] = []
-    h0_dual = None
     level = classification.level if classification is not None else None
 
     applicable = (M.ambient_n == 3 and inv.c1 == 0)
@@ -360,13 +375,9 @@ def stability_report(M: SpecialMonad, classification) -> StabilityReport:
         criterion = "rank 3 reflexive: semistable; stable iff h0 = h0(dual) = 0"
         if h0 != 0:
             return StabilityReport(inv.rank, h0, None, "yes", "no", criterion, notes)
-        if level == "locally_free":
-            dual = dualize(M, classification)
-            h0_dual = twist_cohomology(dual, 0)[0]
-            stable = "yes" if h0_dual == 0 else "no"
-            return StabilityReport(inv.rank, h0, h0_dual, "yes", stable, criterion, notes)
-        notes.append("dual sections not computable for a non-locally-free sheaf")
-        return StabilityReport(inv.rank, h0, None, "yes", "inconclusive", criterion, notes)
+        h0_dual = twist_cohomology(M, -4)[3]      # Serre duality: h^0(E^v) = h^3(E(-4))
+        stable = "yes" if h0_dual == 0 else "no"
+        return StabilityReport(inv.rank, h0, h0_dual, "yes", stable, criterion, notes)
 
     notes.append("no criterion applies at this rank/regularity")
     return StabilityReport(inv.rank, h0, None, "inconclusive", "inconclusive",
@@ -400,13 +411,16 @@ class DualVanishingReport:
 
 def dual_vanishing_check(M: SpecialMonad, classification=None,
                          window: tuple[int, int] = (-5, -1)) -> DualVanishingReport:
-    """Verify h^0(E*(k)) = 0 on the window via the dual monad.
+    """Verify h^0(E*(k)) = 0 on the window.
 
-    Raises NotLocallyFree when the sheaf cannot be dualized.
+    By Serre duality h^0(E*(k)) = h^n(E(-k-n-1)), so the values are row n
+    of E's own table on the mirrored window, read backwards.  Raises
+    NotLocallyFreeError, as dualize does, when the sheaf is not locally free.
     """
-    dual = dualize(M, classification)   # raises NotLocallyFreeError if refused
+    dualize(M, classification)          # raises NotLocallyFreeError if refused
     k_min, k_max = window
-    h0 = cohomology_table(dual, k_min, k_max).rows[0]
-    values = dict(zip(range(k_min, k_max + 1), h0))
+    n = M.ambient_n
+    hn = cohomology_table(M, -k_max - n - 1, -k_min - n - 1).rows[n][::-1]
+    values = dict(zip(range(k_min, k_max + 1), hn))
     violations = [k for k, h in sorted(values.items()) if h != 0]
     return DualVanishingReport(k_min, k_max, values, violations)

@@ -49,14 +49,19 @@ MAX_N = 7                # largest ambient dimension P^n a monad may live on
 EXAMPLE_NAMES = ("torsion-free", "reflexive", "locally-free")
 
 
+def _check_ambient(ambient_n) -> None:
+    """Refuse an ambient dimension that is not an int from 2 to MAX_N."""
+    if type(ambient_n) is not int or not 2 <= ambient_n <= MAX_N:
+        raise ShapeMismatchError(f"ambient dimension must be 2 to {MAX_N}, got {ambient_n!r}")
+
+
 class SpecialMonad:
     """A special monad; immutable."""
 
     __slots__ = ("ambient_n", "v", "w", "v_prime", "alpha", "beta", "field")
 
     def __init__(self, ambient_n: int, alpha: LinearFormMatrix, beta: LinearFormMatrix):
-        if type(ambient_n) is not int or not 2 <= ambient_n <= MAX_N:
-            raise ShapeMismatchError(f"ambient dimension must be 2 to {MAX_N}, got {ambient_n!r}")
+        _check_ambient(ambient_n)
         nvars = ambient_n + 1
         if alpha.nvars != nvars or beta.nvars != nvars:
             raise ShapeMismatchError("maps must use one linear form per homogeneous coordinate")
@@ -136,6 +141,7 @@ def trivial_monad(w: int, ambient_n: int = 3, field=QQ) -> SpecialMonad:
     """The monad (0, w, 0) with empty maps; its cohomology is O^w."""
     if w < 0:
         raise ValueError("w must be non-negative")
+    _check_ambient(ambient_n)
     nvars = ambient_n + 1
     alpha = LinearFormMatrix.zeros(field, w, 0, nvars)
     beta = LinearFormMatrix.zeros(field, 0, w, nvars)
@@ -388,6 +394,7 @@ def random_monad(v: int, w: int, v_prime: int, seed: int = 0, field=QQ,
     """
     if min(v, w, v_prime) < 0:
         raise ValueError("dimensions must be non-negative")
+    _check_ambient(ambient_n)
     if v == 0 and v_prime == 0:
         return trivial_monad(w, ambient_n, field)
     if not special_monad_exists(v, w, v_prime, ambient_n):
@@ -529,7 +536,7 @@ def decode(data: bytes | str) -> SpecialMonad:
     field = exactlin.field_from_name(obj["field"])
     dims = {}
     for key in ("v", "w", "v_prime"):
-        _require(isinstance(obj[key], int) and obj[key] >= 0,
+        _require(type(obj[key]) is int and obj[key] >= 0,
                  f"{key} must be a non-negative integer", key)
         dims[key] = obj[key]
     alpha = _parse_map(obj["alpha"], field, n + 1, dims["w"], dims["v"], "alpha")

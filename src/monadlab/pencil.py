@@ -177,7 +177,7 @@ def p1_cohomology(pc: PencilComplex, k: int) -> tuple[int, int]:
         raise AlphaDegenerateError(
             f"{status.degenerate_map} map degenerates on the line; restricted "
             "cohomology is not the sheaf restriction")
-    return complex_cohomology(pc.A, pc.B, k, at_onto=True, b_onto=True)
+    return complex_cohomology(pc.A, pc.B, k, pc.certificate)
 
 
 def dual_pencil(pc: PencilComplex) -> PencilComplex:

@@ -515,14 +515,30 @@ def test_wide_windows_are_refused_before_any_rank(capsys, lf_path, no_rank):
 
 
 def test_far_twists_of_a_torsion_free_sheaf_are_refused(capsys, tmp_path):
+    # a*_j at k_min = -30, j = 26: 4|S_26| x |S_27| cells
     from monadlab.cohomology import MAX_CELLS
     tf_path = tmp_path / "tf.json"
     run(capsys, "examples", "--name", "torsion-free", "--out", str(tf_path))
     for command in ("cohomology", "admissible"):
-        code, out, err = run(capsys, command, str(tf_path), "--kmin", "-6", "--kmax", "30")
+        code, out, err = run(capsys, command, str(tf_path), "--kmin", "-30", "--kmax", "2")
         assert (code, out) == (2, ""), command
-        assert err == ("monadlab: twist 30 would eliminate a matrix of 108247040 cells, "
+        assert err == ("monadlab: twist -30 would eliminate a matrix of 59340960 cells, "
                        f"over the cap {MAX_CELLS}\n")
+
+
+def test_proofs_above_the_cap_are_refused_before_any_rank(capsys, tmp_path, no_rank):
+    # a (12, 14, 1) monad's alpha^T proof is 5460 x 5096 cells; zero maps
+    # keep the file small, and the cap comes before the composite check
+    from monadlab import QQ, LinearFormMatrix, SpecialMonad, encode
+    from monadlab.cohomology import MAX_CELLS
+    path = tmp_path / "big.json"
+    path.write_bytes(encode(SpecialMonad(3, LinearFormMatrix.zeros(QQ, 14, 12, 4),
+                                         LinearFormMatrix.zeros(QQ, 1, 14, 4))))
+    for command in ("cohomology", "admissible"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, ""), command
+        assert err == ("monadlab: the alpha^T proof would eliminate a matrix of 27824160 "
+                       f"cells, over the cap {MAX_CELLS}\n")
 
 
 def test_points_that_are_not_a_line_of_the_monad_are_usage_errors(capsys, lf_path):

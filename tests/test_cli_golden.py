@@ -11,8 +11,9 @@ isomorphic monad whose coefficients are not all integers); the random
 monads (2,6,2) seed 0 and (2,8,2) seed 1 over Q; a (1,4,1) on P2; the
 reduction mod 7 of (2,6,2) seed 3, which is not a monad; the
 null-correlation monad on P5; copies of the P2 monad whose ambient_n is 8
-or 2.0; and alpha = 0 with beta = (-y, x, z, w), which is not a monad
-either.  A command that names {out} writes a file there; its bytes are
+or 2.0, or whose v and v_prime are true; alpha = 0 with
+beta = (-y, x, z, w), which is not a monad either; and a rank-3 reflexive
+sheaf with c1 = 0 and no sections (test_cohomology's _reflexive_rank3).  A command that names {out} writes a file there; its bytes are
 pinned as a fourth digest.
 
 The parser surface is pinned too: --help of the program and of each
@@ -128,6 +129,8 @@ CASES = [
     ("validate-f2", "validate {f2}"),
     ("generate-p2-031", "generate --dims 0,3,1 --ambient 2"),
     ("cohomology-a0", "cohomology {a0}"),
+    ("validate-t1", "validate {t1}"),
+    ("stability-r3", "stability {r3}"),
 ]
 
 GOLDEN = {
@@ -218,6 +221,8 @@ GOLDEN = {
     'validate-f2': ('e3b0c44298fc1c14', '72094a7bf540a66f', 2),
     'generate-p2-031': ('e3c3a58e0a51ff48', 'e3b0c44298fc1c14', 0),
     'cohomology-a0': ('e3b0c44298fc1c14', 'b3c8199b078e8999', 1),
+    'validate-t1': ('e3b0c44298fc1c14', 'ba5952e805178d4c', 2),
+    'stability-r3': ('8f184b69d21f1c0c', 'e3b0c44298fc1c14', 0),
 }
 
 # Python 3.13's argparse wraps the program's usage line differently
@@ -238,9 +243,9 @@ def _fractional_lf() -> bytes:
     return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
-def _with_ambient(data: bytes, ambient_n) -> bytes:
+def _with(data: bytes, **keys) -> bytes:
     obj = json.loads(data)
-    obj["ambient_n"] = ambient_n
+    obj.update(keys)
     return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
@@ -250,6 +255,13 @@ def write_inputs(directory) -> dict:
                       forms_matrix(QQ, 6, [["-x1", "x0", "-x3", "x2", "-x5", "x4"]]))
     a0 = SpecialMonad(3, forms_matrix(QQ, 4, [["0"], ["0"], ["0"], ["0"]]),
                       forms_matrix(QQ, 4, [["-y", "x", "z", "w"]]))
+    r3 = SpecialMonad(3, forms_matrix(QQ, 4, [["x", "0"], ["y", "0"], ["z", "0"], ["0", "x"],
+                                              ["0", "y"], ["0", "z"], ["w", "w"]]),
+                      forms_matrix(QQ, 4, [
+                          ["-y + 2*z - w", "x", "-2*x - w", "-y - 2*z - w", "x - z",
+                           "2*x + y - w", "x + z"],
+                          ["z + w", "-2*z + 2*w", "-x + 2*y - 2*w", "-2*y + z + w",
+                           "2*x + 2*w", "-x - 2*w", "-x - 2*y + 2*z"]]))
     monads = {
         "tf": encode(example_monad("torsion-free")),
         "rf": encode(example_monad("reflexive")),
@@ -260,9 +272,11 @@ def write_inputs(directory) -> dict:
         "p2": p2,
         "bad7": encode(to_prime_field(random_monad(2, 6, 2, seed=3), 7)),
         "p5": encode(p5),
-        "n8": _with_ambient(p2, 8),
-        "f2": _with_ambient(p2, 2.0),
+        "n8": _with(p2, ambient_n=8),
+        "f2": _with(p2, ambient_n=2.0),
         "a0": encode(a0),
+        "t1": _with(p2, v=True, v_prime=True),
+        "r3": encode(r3),
     }
     paths = {}
     for name, data in monads.items():

@@ -1,7 +1,7 @@
 """Closed-form twist ranks against the all-ranks path.
 
 cohomology_table and p1_cohomology take most ranks in closed form from
-two onto_everywhere proofs, and complex_cohomology takes the rank of a map
+the monad's certificate, and complex_cohomology takes the rank of a map
 out of a zero space as 0 without building it.  oracles.reference_twist
 and oracles.reference_cohomology eliminate all four ranks, empty maps
 included; that path is the reference here.  On every monad of the corpus the two must agree
@@ -9,7 +9,8 @@ column by column, and where the reference raises, the table must raise
 the same error.
 
 The corpus covers each path: both proofs (locally-free sheaves), a failed
-left-map proof (the torsion-free and reflexive examples and their sums),
+left-map proof (the torsion-free and reflexive examples and their sums, to
+twist 8 and 5),
 a failed right-map proof (a bad reduction, which the table refuses),
 empty maps, P2 and F_p monads, and windows wide enough to reach the
 closed forms far from the core.
@@ -94,6 +95,22 @@ def test_empty_maps():
 def test_p2_and_fp_monads(dims, seed, fname, ambient):
     M = random_monad(*dims, seed=seed, field=_field(fname), ambient_n=ambient)
     assert_table_matches(M, -7, 3)
+
+
+@pytest.mark.parametrize("names,window", [
+    (("torsion-free",), (-7, 8)),
+    (("reflexive",), (-7, 8)),
+    (("torsion-free", "torsion-free"), (-7, 5)),
+    (("reflexive", "torsion-free"), (-7, 5)),
+])
+def test_sheaves_not_locally_free_at_positive_twists(names, window):
+    # the A^T proof fails, so a_k = v|S_{k-1}| rests on A being injective as
+    # a sheaf map alone; the reference's Bareiss ranks grow fast beyond these
+    M = example_monad(names[0])
+    for name in names[1:]:
+        M = direct_sum(M, example_monad(name))
+    assert not onto_everywhere(M.alpha.transpose()).full
+    assert_table_matches(M, *window)
 
 
 @pytest.mark.parametrize("dims", [(2, 8, 2), (3, 10, 3)])

@@ -7,6 +7,8 @@ cross-checked against the Euler characteristic column by column and
 against duality for the locally-free case.
 """
 
+import time
+
 import pytest
 
 from monadlab import (
@@ -182,21 +184,87 @@ def test_stability_examples():
     assert (rep.semistable, rep.stable, rep.h0) == ("yes", "no", 1)
 
 
-def test_stability_rank3_locally_free_uses_the_dual():
-    # rank 3 locally free with h0 = 0: sum of the locally-free example and a
-    # trivial rank 1 piece has h0 = 1, so build one by hand is hard; instead
-    # check the dual-section path reports h0_dual when it applies
+def _zero_row_rank3():
+    """A locally-free rank-3 sheaf with c1 = 0 whose dual has a section:
+    alpha is a 6x2 block over a zero seventh row, so the seventh coordinate
+    O^7 -> O kills the image of alpha and gives a map E -> O; beta was drawn
+    from the kernel of the composite, as monad._solve_beta draws it."""
+    alpha = forms_matrix(QQ, 4, [["x", "0"], ["y", "0"], ["z", "x"], ["w", "y"],
+                                 ["0", "z"], ["0", "w"], ["0", "0"]])
+    beta = forms_matrix(QQ, 4, [
+        ["-y - 2*w", "x + 2*z", "-2*y - w", "2*x + z", "-y - w", "x + z", "x - 2*y"],
+        ["-2*w", "2*z", "-2*y + w", "2*x - z", "y", "-x", "x + 2*y - z - w"]])
+    return SpecialMonad(3, alpha, beta)
+
+
+def _reflexive_rank3():
+    """A rank-3 reflexive sheaf with c1 = 0 that is not locally free: alpha
+    drops rank only at (0:0:0:1); beta was drawn as monad._solve_beta does."""
+    alpha = forms_matrix(QQ, 4, [["x", "0"], ["y", "0"], ["z", "0"], ["0", "x"],
+                                 ["0", "y"], ["0", "z"], ["w", "w"]])
+    beta = forms_matrix(QQ, 4, [
+        ["-y + 2*z - w", "x", "-2*x - w", "-y - 2*z - w", "x - z", "2*x + y - w", "x + z"],
+        ["z + w", "-2*z + 2*w", "-x + 2*y - 2*w", "-2*y + z + w", "2*x + 2*w", "-x - 2*w",
+         "-x - 2*y + 2*z"]])
+    return SpecialMonad(3, alpha, beta)
+
+
+def test_stability_in_rank_3_reads_the_dual_sections(monkeypatch):
+    # h0_dual = h^3(E(-4)) by Serre duality, for every coherent sheaf, with
+    # no dual monad built; the reflexive input was "inconclusive" while the
+    # dual took a second monad
+    from monadlab import cohomology, monad
+
+    def no_dual(*args, **kwargs):
+        raise AssertionError("stability built the dual monad")
+    for M, level, h0_dual, stable in ((random_monad(2, 7, 2, seed=0), "locally_free", 0, "yes"),
+                                      (_zero_row_rank3(), "locally_free", 1, "no"),
+                                      (_reflexive_rank3(), "reflexive", 0, "yes")):
+        assert validate(M).overall
+        cls = classify(M)
+        inv = invariants(M)
+        assert (cls.level, inv.rank, inv.c1) == (level, 3, 0)
+        with monkeypatch.context() as patch:
+            patch.setattr(monad, "dualize", no_dual)
+            patch.setattr(cohomology, "dualize", no_dual)
+            rep = stability_report(M, cls)
+        assert (rep.semistable, rep.stable, rep.h0, rep.h0_dual) == ("yes", stable, 0, h0_dual)
+        assert rep.notes == []
+        if level == "locally_free":
+            assert h0_dual == twist_cohomology(dualize(M, cls), 0)[0]
+    # a section of E decides "no" before the dual column is read
     M = direct_sum(example_monad("locally-free"), trivial_monad(1))
     rep = stability_report(M, classify(M))
-    assert rep.rank == 3
-    assert rep.semistable == "yes"
-    assert rep.stable == "no" and rep.h0 == 1
+    assert (rep.rank, rep.semistable, rep.stable, rep.h0, rep.h0_dual) == (3, "yes", "no", 1, None)
 
 
 def test_stability_inconclusive_outside_hypotheses():
     M = random_monad(2, 8, 1, seed=5)   # c1 = 1
     rep = stability_report(M, classify(M))
     assert rep.semistable == "inconclusive" and rep.stable == "inconclusive"
+
+
+@pytest.mark.parametrize("dims,seed", [(None, None), ((2, 6, 2), 0), ((1, 4, 1), 1),
+                                       ((2, 7, 2), 0), ((2, 8, 1), 5)])
+def test_dual_sections_by_serre_duality_match_the_dual_monad(dims, seed):
+    M = example_monad("locally-free") if dims is None else random_monad(*dims, seed=seed)
+    cls = classify(M)
+    rep = dual_vanishing_check(M, cls, (-6, 4))
+    assert list(rep.values) == list(range(-6, 5))
+    assert list(rep.values.values()) == cohomology_table(dualize(M, cls), -6, 4).rows[0]
+
+
+@pytest.mark.parametrize("name", ["torsion-free", "reflexive"])
+def test_dual_sections_from_one_rank(name):
+    # with K = ker beta, h^0(E^v(k)) = w|S_k| - rank mult_map(alpha^T, k) - v'|S_{k-1}|;
+    # the table's h^3(E(-k-4)) must agree where no dual monad exists
+    from monadlab.exactlin import monomial_count, mult_map
+    M = example_monad(name)
+    table = cohomology_table(M, -7, -2)
+    for k in range(-2, 4):
+        one_rank = (M.w * monomial_count(4, k) - mult_map(M.alpha.transpose(), k).rank()
+                    - M.v_prime * monomial_count(4, k - 1))
+        assert one_rank == table.entry(3, -k - 4), k
 
 
 def test_dual_vanishing():
@@ -265,20 +333,22 @@ def test_euler_characteristic_matches_riemann_roch():
 
 
 def test_far_twists_of_a_sheaf_that_is_not_locally_free_are_capped(monkeypatch):
-    # without the A^T proof every twist eliminates a_k and a*_j, j = -k-4;
-    # the window is refused when the larger of them passes MAX_CELLS
+    # without the A^T proof a table still eliminates a*_j, j = -k-4, most at
+    # k_min; the window is refused when that matrix passes MAX_CELLS.  a_k
+    # is a closed form, so the positive twists are answered
     from monadlab import cohomology
 
     tf = example_monad("torsion-free")
     assert cohomology_table(tf, 12, 12).column(12) == (896, 0, 0, 0)
+    assert cohomology_table(tf, 30, 30).column(30) == (10880, 0, 0, 0)
+    assert cohomology_table(tf, -2, 30).column(30) == (10880, 0, 0, 0)
 
     def no_rank(*args, **kwargs):
         raise AssertionError("a twist was computed before the cap")
     monkeypatch.setattr(cohomology, "complex_cohomology", no_rank)
     cap = cohomology.MAX_CELLS
-    for M, k_min, k_max, k, cells in ((tf, 30, 30, 30, 108247040),
+    for M, k_min, k_max, k, cells in ((tf, -30, 2, -30, 59340960),
                                       (direct_sum(tf, tf), -30, -30, -30, 237363840),
-                                      (tf, -2, 30, 30, 108247040),
                                       (direct_sum(tf, tf), -30, 2, -30, 237363840)):
         assert cells > cap
         with pytest.raises(ValueError) as info:
@@ -287,6 +357,48 @@ def test_far_twists_of_a_sheaf_that_is_not_locally_free_are_capped(monkeypatch):
                                    f"cells, over the cap {cap}")
         with pytest.raises(ValueError):
             twist_cohomology(M, k)
+
+
+def _median_seconds(fn, runs=5):
+    times = []
+    for _ in range(runs):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return sorted(times)[runs // 2]
+
+
+def test_positive_twists_of_sheaves_not_locally_free_take_no_elimination():
+    # a_k is v|S_{k-1}| at every twist once A is injective as a sheaf map;
+    # tf+tf at 30 was refused, and tf on [-7, 16] took about 1.6 s
+    tf = example_monad("torsion-free")
+    tf2 = direct_sum(tf, tf)
+    assert cohomology_table(tf2, 30, 30).column(30) == (21760, 0, 0, 0)
+    assert _median_seconds(lambda: cohomology_table(tf2, 30, 30)) < 0.010
+    assert _median_seconds(lambda: cohomology_table(tf, -7, 16)) < 0.050
+
+
+def test_proofs_above_the_cap_are_refused_before_any_rank(monkeypatch):
+    # certify's A^T proof eliminates mult_map(A^T, v-1), v|S_v| x w|S_{v-1}|
+    # cells: 5460 x 5096 for (12, 14, 1), which passes special_monad_exists
+    from monadlab import cohomology, exactlin
+    from monadlab.exactlin import LinearFormMatrix
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a rank was taken before the cap")
+    M = SpecialMonad(3, LinearFormMatrix.zeros(QQ, 14, 12, 4),
+                     LinearFormMatrix.zeros(QQ, 1, 14, 4))
+    monkeypatch.setattr(exactlin, "mult_map", no_work)
+    monkeypatch.setattr(exactlin, "_echelon", no_work)
+    monkeypatch.setattr(cohomology, "certify", no_work)
+    for call in (lambda: cohomology_table(M, -6, 2), lambda: twist_cohomology(M, 0)):
+        with pytest.raises(ValueError, match=(
+                "^the alpha\\^T proof would eliminate a matrix of 27824160 cells, "
+                f"over the cap {cohomology.MAX_CELLS}$")):
+            call()
+    Mt = SpecialMonad(3, M.beta.transpose(), M.alpha.transpose())
+    with pytest.raises(ValueError, match="^the beta proof would eliminate .* 27824160 cells"):
+        cohomology_table(Mt, -6, 2)
 
 
 def test_far_twists_of_a_locally_free_sheaf_are_not_capped():

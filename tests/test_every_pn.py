@@ -202,6 +202,12 @@ def test_the_ambient_dimension_is_capped():
     for bad in (1, MAX_N + 1, 5.0, True):
         with pytest.raises(ShapeMismatchError, match="ambient dimension"):
             SpecialMonad(bad, nc.alpha, nc.beta)
+        # refused before a form is built, which raised a bare TypeError for 5.0
+        with pytest.raises(ShapeMismatchError, match="ambient dimension"):
+            trivial_monad(1, bad)
+        for dims in ((0, 3, 0), (1, 4, 1)):
+            with pytest.raises(ShapeMismatchError, match="ambient dimension"):
+                random_monad(*dims, ambient_n=bad)
 
 
 @pytest.mark.parametrize("value", ["8", "2.0", "true", "1", "\"3\""])

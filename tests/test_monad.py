@@ -267,6 +267,17 @@ def test_decode_rejects_inconsistent_dims():
     assert "alpha[0]" in str(err.value)
 
 
+@pytest.mark.parametrize("key", ["v", "w", "v_prime"])
+def test_decode_refuses_a_boolean_dimension(key):
+    # bool is an int subclass, so a P2 file with "v": true used to validate
+    # and encode wrote true back
+    obj = json.loads(encode(random_monad(1, 4, 1, seed=0, ambient_n=2)))
+    for value in (True, False, 1.0):
+        obj[key] = value
+        with pytest.raises(MonadDecodeError, match=f"{key} must be a non-negative integer"):
+            decode(json.dumps(obj))
+
+
 def test_decode_rejects_bad_json_with_position():
     with pytest.raises(MonadDecodeError) as err:
         decode(b'{"ambient_n": 3,,}')
