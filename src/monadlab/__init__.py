@@ -89,7 +89,6 @@ from .pencil import (
 )
 from .pointwise import (
     ClassificationReport,
-    DegeneracyBudget,
     DegeneracyResult,
     classify,
     degeneracy_dim,

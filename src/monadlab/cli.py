@@ -108,11 +108,6 @@ def _line_for(args, M) -> pencil.Line:
     return lines_scan.sample_line(args.seed, args.index, M.field, M.ambient_n)
 
 
-def _budget_from(args) -> pointwise.DegeneracyBudget:
-    return pointwise.DegeneracyBudget(prime=args.prime, slices=args.slices,
-                                      seed=args.seed)
-
-
 # ---------------------------------------------------------------------------
 # handlers
 
@@ -177,7 +172,7 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_classify(args) -> int:
     M = _load_monad(args.monad)
-    report = pointwise.classify(M, _budget_from(args))
+    report = pointwise.classify(M, args.prime)
     if args.format == "json":
         _emit(_dump(report.to_json_obj()), args.out)
     else:
@@ -212,7 +207,7 @@ def _cmd_admissible(args) -> int:
 
 def _cmd_stability(args) -> int:
     M = _load_monad(args.monad)
-    cls = pointwise.classify(M, _budget_from(args))
+    cls = pointwise.classify(M, args.prime)
     report = cohomology.stability_report(M, cls)
     _emit(_dump(report.to_json_obj()), args.out)
     return EXIT_OK
@@ -220,7 +215,7 @@ def _cmd_stability(args) -> int:
 
 def _cmd_dualize(args) -> int:
     M = _load_monad(args.monad)
-    cls = pointwise.classify(M, _budget_from(args))
+    cls = pointwise.classify(M, args.prime)
     dual = monad.dualize(M, cls)
     _emit(monad.encode(dual).decode("utf-8"), args.out)
     return EXIT_OK
@@ -326,14 +321,11 @@ def _add_common(sp):
     sp.add_argument("--out", help="write output to this file instead of stdout")
 
 
-def _add_classify_knobs(sp, env_prime: int):
+def _add_prime(sp, env_prime: int):
     sp.add_argument("--prime", type=prime, default=env_prime,
                     help="modulus of the rank certificates for a monad over Q; "
                          "a deficient rank mod p falls back to Q "
                          "(env MONADLAB_PRIME)")
-    sp.add_argument("--slices", type=int, default=50,
-                    help="random slices per dimension level")
-    sp.add_argument("--seed", type=int, default=0)
 
 
 COMMANDS = ("examples", "generate", "validate", "invariants", "classify", "cohomology",
@@ -383,7 +375,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     if sp := add("classify", _cmd_classify, "regularity of the cohomology sheaf"):
         sp.add_argument("monad")
         sp.add_argument("--format", choices=("human", "json"), default="human")
-        _add_classify_knobs(sp, env_prime)
+        _add_prime(sp, env_prime)
         _add_common(sp)
 
     if sp := add("cohomology", _cmd_cohomology, "twist cohomology table"):
@@ -401,12 +393,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
     if sp := add("stability", _cmd_stability, "semistability/stability verdicts"):
         sp.add_argument("monad")
-        _add_classify_knobs(sp, env_prime)
+        _add_prime(sp, env_prime)
         _add_common(sp)
 
     if sp := add("dualize", _cmd_dualize, "dual monad (locally free only)"):
         sp.add_argument("monad")
-        _add_classify_knobs(sp, env_prime)
+        _add_prime(sp, env_prime)
         _add_common(sp)
 
     if sp := add("dsum", _cmd_dsum, "block-diagonal direct sum"):

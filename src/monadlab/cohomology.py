@@ -77,7 +77,7 @@ from math import comb
 
 from .errors import MonadLabError
 from .exactlin import Certificate, LinearFormMatrix, certify, monomial_count, mult_map
-from .monad import SpecialMonad, _check_alpha_injective, dualize, invariants
+from .monad import SpecialMonad, _check_alpha_injective, invariants
 
 DEFAULT_WINDOW = (-6, 2)
 MAX_TWISTS = 10 ** 4
@@ -409,15 +409,14 @@ class DualVanishingReport:
         }
 
 
-def dual_vanishing_check(M: SpecialMonad, classification=None,
+def dual_vanishing_check(M: SpecialMonad,
                          window: tuple[int, int] = (-5, -1)) -> DualVanishingReport:
     """Verify h^0(E*(k)) = 0 on the window.
 
-    By Serre duality h^0(E*(k)) = h^n(E(-k-n-1)), so the values are row n
-    of E's own table on the mirrored window, read backwards.  Raises
-    NotLocallyFreeError, as dualize does, when the sheaf is not locally free.
+    By Serre duality h^0(E*(k)) = h^n(E(-k-n-1)) for every coherent sheaf
+    (Hartshorne III.7.1), so the values are row n of E's own table on the
+    mirrored window, read backwards; no classification is needed.
     """
-    dualize(M, classification)          # raises NotLocallyFreeError if refused
     k_min, k_max = window
     n = M.ambient_n
     hn = cohomology_table(M, -k_max - n - 1, -k_min - n - 1).rows[n][::-1]

@@ -149,7 +149,7 @@ def test_criterion_4_duality():
         for k in range(-6, 3):
             for p in range(4):
                 assert t.entry(p, k) == td.entry(3 - p, -k - 4), (M.dims(), p, k)
-        dv = dual_vanishing_check(M, cls)
+        dv = dual_vanishing_check(M)
         assert dv.passed, (M.dims(), dv.to_json_obj())
 
 

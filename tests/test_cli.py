@@ -148,15 +148,18 @@ def test_dualize_and_dsum(capsys, tmp_path, lf_path):
 
 
 def test_nonpositive_slices_are_a_usage_error(capsys, tmp_path):
+    # the slice sampler and its knobs are gone: every level is decided by
+    # a hyperplane count, so --slices and --seed are unknown options
     tf_path = tmp_path / "tf.json"
     tf2_path = tmp_path / "tf2.json"
     run(capsys, "examples", "--name", "torsion-free", "--out", str(tf_path))
     run(capsys, "dsum", str(tf_path), str(tf_path), "--out", str(tf2_path))
     for command in ("classify", "stability", "dualize"):
-        for slices in ("0", "-2"):
-            code, out, err = run(capsys, command, str(tf2_path), "--slices", slices)
-            assert code == 2 and out == ""
-            assert err.startswith("monadlab: ") and "slice" in err
+        for flag, value in (("--slices", "0"), ("--slices", "-2"), ("--slices", "50"),
+                            ("--seed", "0")):
+            code, out, err = run(capsys, command, str(tf2_path), flag, value)
+            assert (code, out) == (2, ""), (command, flag)
+            assert f"error: unrecognized arguments: {flag} {value}\n" in err
 
 
 def test_classify_with_a_bad_certificate_prime(capsys, tmp_path):
@@ -485,22 +488,15 @@ def no_rank(monkeypatch):
 
 
 def test_slices_above_the_cap_are_refused_before_any_rank(capsys, tmp_path, no_rank):
-    from monadlab.pointwise import MAX_SLICES
     tf_path = tmp_path / "tf.json"
     tf2_path = tmp_path / "tf2.json"
     run(capsys, "examples", "--name", "torsion-free", "--out", str(tf_path))
     run(capsys, "dsum", str(tf_path), str(tf_path), "--out", str(tf2_path))
     for command in ("classify", "stability", "dualize"):
-        for slices in (MAX_SLICES + 1, 10 ** 8):
+        for slices in (10 ** 4 + 1, 10 ** 8):
             code, out, err = run(capsys, command, str(tf2_path), "--slices", str(slices))
             assert (code, out) == (2, ""), command
-            assert err == f"monadlab: slice count {slices} exceeds the cap {MAX_SLICES}\n"
-
-
-def test_slices_at_the_cap_are_accepted(capsys, lf_path):
-    from monadlab.pointwise import MAX_SLICES
-    code, out, _ = run(capsys, "classify", lf_path, "--slices", str(MAX_SLICES))
-    assert (code, out) == (0, "LocallyFree (exact)\n")
+            assert f"error: unrecognized arguments: --slices {slices}\n" in err
 
 
 def test_wide_windows_are_refused_before_any_rank(capsys, lf_path, no_rank):

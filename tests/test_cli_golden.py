@@ -145,9 +145,9 @@ GOLDEN = {
     'classify-lf': ('684866d13532789c', 'e3b0c44298fc1c14', 0),
     'classify-rf': ('17c1170bb76faa97', 'e3b0c44298fc1c14', 0),
     'classify-lf7': ('684866d13532789c', 'e3b0c44298fc1c14', 0),
-    'classify-s0': ('f5aa2238c8f7ee79', 'e3b0c44298fc1c14', 0),
+    'classify-s0': ('d71643b2f93610b2', 'e3b0c44298fc1c14', 0),
     'classify-p2': ('684866d13532789c', 'e3b0c44298fc1c14', 0),
-    'classify-bad7': ('304234bff747b2d0', 'e3b0c44298fc1c14', 0),
+    'classify-bad7': ('3971c34a450660d9', 'e3b0c44298fc1c14', 0),
     'invariants-lf': ('5b7f3e9cf910f541', 'e3b0c44298fc1c14', 0),
     'invariants-lf7': ('5b7f3e9cf910f541', 'e3b0c44298fc1c14', 0),
     'invariants-p2': ('75849dfdff052e6e', 'e3b0c44298fc1c14', 0),
@@ -190,11 +190,11 @@ GOLDEN = {
     'help-generate': ('cf4a8314d2eecf0d', 'e3b0c44298fc1c14', 0),
     'help-validate': ('0cbdb23f23454291', 'e3b0c44298fc1c14', 0),
     'help-invariants': ('5f25d7d577a3adda', 'e3b0c44298fc1c14', 0),
-    'help-classify': ('d5ffa39b3033382d', 'e3b0c44298fc1c14', 0),
+    'help-classify': ('f91ed0a55c780cfe', 'e3b0c44298fc1c14', 0),
     'help-cohomology': ('a50294dc262ce9f7', 'e3b0c44298fc1c14', 0),
     'help-admissible': ('dfc06cfe0d25b61f', 'e3b0c44298fc1c14', 0),
-    'help-stability': ('f80a93cbbc9fe743', 'e3b0c44298fc1c14', 0),
-    'help-dualize': ('cb05f39d7b158506', 'e3b0c44298fc1c14', 0),
+    'help-stability': ('cdb2b0be5e6ac52e', 'e3b0c44298fc1c14', 0),
+    'help-dualize': ('8c289fa0deb18921', 'e3b0c44298fc1c14', 0),
     'help-dsum': ('292516f7f49680bb', 'e3b0c44298fc1c14', 0),
     'help-restrict': ('f32bd97f7be3aec9', 'e3b0c44298fc1c14', 0),
     'help-splitting': ('493c86eb4bdef803', 'e3b0c44298fc1c14', 0),

@@ -29,9 +29,9 @@ import hashlib
 import json
 
 from monadlab import (
+    DEFAULT_PRIME,
     GF,
     QQ,
-    DegeneracyBudget,
     Line,
     degeneracy_dim,
     direct_sum,
@@ -66,49 +66,49 @@ GOLDEN_LINES = {
 
 # Kind and dimension as recorded from the binary-form engine, except the
 # two entries marked "corrected"; digests and notes re-recorded from the
-# one-rank-per-slice scan of degeneracy_dim.
+# exact hyperplane count of degeneracy_dim.
 GOLDEN_DEGENERACY = {
-    "surface/Q": ("cbd789582b9e1238", "dim", 2,
-        "all 50 random P^1 slices meet the locus, the last with rank 5 < 6 of the 6x8 multiplication map over Q"),
-    "p2-curve/Q": ("0963dfa26c23f361", "dim", 1,
-        "all 10 random P^1 slices meet the locus, the last with rank 5 < 6 of the 6x8 multiplication map over Q"),
-    "lf+rf/Q": ("b7aa4937aee185a1", "dim", 0,
-        "the locus is not empty: rank 19 < 20 of the 20x36 multiplication map over Q"),
-    "(2,6,2)s0 alpha mod 3": ("7e02f4e0914513ba", "empty", None,
+    "surface/Q": ("b610951ceba87a5c", "dim", 2,
+        "all 13 hyperplane sections H_t meet the locus in dimension >= 1, the last with rank 5 < 6 of the 6x8 multiplication map over Q"),
+    "p2-curve/Q": ("b248c951489a529a", "dim", 1,
+        "all 9 hyperplane sections H_t meet the locus in dimension >= 0, the last with rank 5 < 6 of the 6x8 multiplication map over Q"),
+    "lf+rf/Q": ("e60dcb37f1ee38da", "dim", 0,
+        "the locus is not empty: rank 19 < 20 of the 20x36 multiplication map over Q; no curve, by 4 slice proofs"),
+    "(2,6,2)s0 alpha mod 3": ("3c0eb815dcc753fd", "empty", None,
         "full rank at every point: rank 20 = 20 of the 20x24 multiplication map over Fp:3"),
-    "(2,6,2)s0 alpha mod 5": ("90610bd0a842a673", "empty", None,
+    "(2,6,2)s0 alpha mod 5": ("91001d43301db577", "empty", None,
         "full rank at every point: rank 20 = 20 of the 20x24 multiplication map over Fp:5"),
-    "(2,6,2)s0 alpha mod 7": ("5a7c4abc1d5aa67f", "empty", None,
+    "(2,6,2)s0 alpha mod 7": ("81c7c4b3c67ba72f", "empty", None,
         "full rank at every point: rank 20 = 20 of the 20x24 multiplication map over Fp:7"),
-    "(2,6,2)s0 alpha mod 101": ("7c939873e3fd2c34", "empty", None,
+    "(2,6,2)s0 alpha mod 101": ("c42736a81981850d", "empty", None,
         "full rank at every point: rank 20 = 20 of the 20x24 multiplication map over Fp:101"),
-    "(2,6,2)s0 beta mod 5": ("90610bd0a842a673", "empty", None,
+    "(2,6,2)s0 beta mod 5": ("91001d43301db577", "empty", None,
         "full rank at every point: rank 20 = 20 of the 20x24 multiplication map over Fp:5"),
     # corrected: recorded as dim 2 from a rank drop mod 3
-    "(2,6,2)s1 alpha mod 3": ("00d57ecfa128a6ad", "empty", None,
+    "(2,6,2)s1 alpha mod 3": ("8c0b10510c3a39bc", "empty", None,
         "full rank at every point: rank 20 = 20 of the 20x24 multiplication map over Q"),
-    "(2,6,2)s1 alpha mod 5": ("90610bd0a842a673", "empty", None,
+    "(2,6,2)s1 alpha mod 5": ("91001d43301db577", "empty", None,
         "full rank at every point: rank 20 = 20 of the 20x24 multiplication map over Fp:5"),
-    "(2,6,2)s1 alpha mod 7": ("5a7c4abc1d5aa67f", "empty", None,
+    "(2,6,2)s1 alpha mod 7": ("81c7c4b3c67ba72f", "empty", None,
         "full rank at every point: rank 20 = 20 of the 20x24 multiplication map over Fp:7"),
-    "(2,6,2)s1 alpha mod 101": ("7c939873e3fd2c34", "empty", None,
+    "(2,6,2)s1 alpha mod 101": ("c42736a81981850d", "empty", None,
         "full rank at every point: rank 20 = 20 of the 20x24 multiplication map over Fp:101"),
-    "(2,6,2)s1 beta mod 5": ("90610bd0a842a673", "empty", None,
+    "(2,6,2)s1 beta mod 5": ("91001d43301db577", "empty", None,
         "full rank at every point: rank 20 = 20 of the 20x24 multiplication map over Fp:5"),
-    "(2,6,2)s3 alpha mod 3": ("7e02f4e0914513ba", "empty", None,
+    "(2,6,2)s3 alpha mod 3": ("3c0eb815dcc753fd", "empty", None,
         "full rank at every point: rank 20 = 20 of the 20x24 multiplication map over Fp:3"),
-    "(2,6,2)s3 alpha mod 5": ("90610bd0a842a673", "empty", None,
+    "(2,6,2)s3 alpha mod 5": ("91001d43301db577", "empty", None,
         "full rank at every point: rank 20 = 20 of the 20x24 multiplication map over Fp:5"),
-    "(2,6,2)s3 alpha mod 7": ("5a7c4abc1d5aa67f", "empty", None,
+    "(2,6,2)s3 alpha mod 7": ("81c7c4b3c67ba72f", "empty", None,
         "full rank at every point: rank 20 = 20 of the 20x24 multiplication map over Fp:7"),
-    "(2,6,2)s3 alpha mod 101": ("7c939873e3fd2c34", "empty", None,
+    "(2,6,2)s3 alpha mod 101": ("c42736a81981850d", "empty", None,
         "full rank at every point: rank 20 = 20 of the 20x24 multiplication map over Fp:101"),
     # corrected: recorded as dim 2 from a rank drop mod 5
-    "(2,6,2)s3 beta mod 5": ("24c55ffc43353717", "empty", None,
+    "(2,6,2)s3 beta mod 5": ("74082415471a249b", "empty", None,
         "full rank at every point: rank 20 = 20 of the 20x24 multiplication map over Q"),
-    "(3,10,3)s1 alpha mod 7": ("2766cd7b234b6852", "empty", None,
+    "(3,10,3)s1 alpha mod 7": ("452a91bd6680ad0d", "empty", None,
         "full rank at every point: rank 60 = 60 of the 60x100 multiplication map over Fp:7"),
-    "(2,7,1)P2 alpha mod 5": ("9f8cb5e9b8275e33", "empty", None,
+    "(2,7,1)P2 alpha mod 5": ("dcc9f14d5e1b4c9c", "empty", None,
         "full rank at every point: rank 12 = 12 of the 12x21 multiplication map over Fp:5"),
 }
 
@@ -143,29 +143,23 @@ def line_cases():
 
 
 def degeneracy_cases():
-    small = DegeneracyBudget(slices=10)
     surface = forms_matrix(QQ, 4, [["x", "0"], ["y", "0"], ["0", "x"], ["0", "x"]])
     p2_curve = forms_matrix(QQ, 3, [["x", "0"], ["y", "0"], ["0", "x"], ["0", "x"]])
     cases = [
-        ("surface/Q", surface, DegeneracyBudget()),
-        ("p2-curve/Q", p2_curve, small),
+        ("surface/Q", surface, DEFAULT_PRIME),
+        ("p2-curve/Q", p2_curve, DEFAULT_PRIME),
         ("lf+rf/Q", direct_sum(example_monad("locally-free"),
-                               example_monad("reflexive")).alpha,
-         DegeneracyBudget()),
+                               example_monad("reflexive")).alpha, DEFAULT_PRIME),
     ]
     for seed in (0, 1, 3):
         M = random_monad(2, 6, 2, seed=seed)
         for p in (3, 5, 7, 101):
-            cases.append((f"(2,6,2)s{seed} alpha mod {p}", M.alpha,
-                          DegeneracyBudget(prime=p, slices=20, seed=seed)))
-        cases.append((f"(2,6,2)s{seed} beta mod 5", M.beta,
-                      DegeneracyBudget(prime=5, slices=20, seed=seed)))
+            cases.append((f"(2,6,2)s{seed} alpha mod {p}", M.alpha, p))
+        cases.append((f"(2,6,2)s{seed} beta mod 5", M.beta, 5))
     M = random_monad(3, 10, 3, seed=1)
-    cases.append(("(3,10,3)s1 alpha mod 7", M.alpha,
-                  DegeneracyBudget(prime=7, slices=20)))
+    cases.append(("(3,10,3)s1 alpha mod 7", M.alpha, 7))
     M = random_monad(2, 7, 1, seed=1, ambient_n=2)
-    cases.append(("(2,7,1)P2 alpha mod 5", M.alpha,
-                  DegeneracyBudget(prime=5, slices=20)))
+    cases.append(("(2,7,1)P2 alpha mod 5", M.alpha, 5))
     return cases
 
 
@@ -210,7 +204,7 @@ def test_line_verdicts_reproduce_the_minor_gcds():
 
 def test_degeneracy_slices_reproduce_the_minor_gcds():
     got = {}
-    for name, L, budget in degeneracy_cases():
-        res = degeneracy_dim(L, budget)
+    for name, L, prime in degeneracy_cases():
+        res = degeneracy_dim(L, prime)
         got[name] = (_digest(res.to_json_obj()), res.kind, res.dim, res.note)
     assert got == GOLDEN_DEGENERACY

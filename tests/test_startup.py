@@ -1,6 +1,6 @@
 """Start-up footprint and the contracts of the record classes.
 
-The records (reports, proofs, lines, budgets) are plain __slots__ classes,
+The records (reports, proofs, lines) are plain __slots__ classes,
 so importing the CLI loads neither dataclasses nor the inspect, ast, dis
 and tokenize modules it pulls in.  These tests pin that, the public names
 of the package, and the equality, iteration and defaults that callers use.
@@ -13,13 +13,11 @@ from fractions import Fraction
 
 import monadlab
 from monadlab import (
-    DEFAULT_PRIME,
     QQ,
     Certificate,
     ChernData,
     ClassificationReport,
     CohomologyTable,
-    DegeneracyBudget,
     DegeneracyResult,
     Line,
     ScanReport,
@@ -48,14 +46,14 @@ PUBLIC = """
     invariants random_monad special_monad_exists to_prime_field trivial_monad validate
     Line PencilComplex SplittingType dual_pencil line_status p1_cohomology restrict
     splitting_type
-    ClassificationReport DegeneracyBudget DegeneracyResult classify degeneracy_dim
+    ClassificationReport DegeneracyResult classify degeneracy_dim
 """.split()
 
 RECORDS = """
     AdmissibilityReport CohomologyTable DualVanishingReport StabilityReport
     Certificate MonomialBasis CodimEvidenceReport ScanReport TrivialSplittingReport
     UniformityReport ChernData ValidationReport Line SplittingType ClassificationReport
-    DegeneracyBudget DegeneracyResult
+    DegeneracyResult
 """.split()
 
 
@@ -80,7 +78,7 @@ def test_records_are_slotted():
     from monadlab.lines_scan import LineOutcome
     classes = [getattr(monadlab, name) for name in RECORDS]
     classes += [RankProof, LineOutcome, CheckResult, LineStatus]
-    assert len(classes) == 21
+    assert len(classes) == 20
     for cls in classes:
         assert "__slots__" in vars(cls) and "__dict__" not in dir(cls), cls.__name__
 
@@ -110,10 +108,6 @@ def test_splitting_type_iterates_its_parts():
 
 
 def test_keyword_and_default_constructions():
-    budget = DegeneracyBudget(slices=10)
-    assert (budget.prime, budget.slices, budget.seed) == (DEFAULT_PRIME, 10, 0)
-    budget = DegeneracyBudget(prime=3, seed=2)
-    assert (budget.prime, budget.slices, budget.seed) == (3, 50, 2)
     inv = ChernData(rank=2, c1=0, ch2=Fraction(-1), c2=1)
     assert (inv.ch3, inv.c3) == (None, None)
     check = CheckResult("composition", True, "exact")
@@ -123,8 +117,8 @@ def test_keyword_and_default_constructions():
     assert report.overall and report.notes == []
     assert report.notes is not ValidationReport(check, check, check, False).notes
     deg = DegeneracyResult("empty", None, {"kind": "onto_rank"})
-    assert deg.exact and (deg.witness, deg.locus_basis, deg.note) == (None, None, "")
-    cls = ClassificationReport("locally_free", deg, "exact")
+    assert (deg.witness, deg.locus_basis, deg.note) == (None, None, "")
+    cls = ClassificationReport("locally_free", deg)
     assert cls.warnings == [] and cls.display == "LocallyFree (exact)"
     stab = StabilityReport(2, 0, None, "yes", "yes", "c1 = 0, h0 = 0")
     assert list(stab.to_json_obj()) == ["rank", "h0", "h0_dual", "semistable", "stable",
