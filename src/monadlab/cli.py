@@ -1,8 +1,9 @@
 """Command-line surface: one subcommand per pipeline, file-based and seeded.
 
 Every subcommand is a pure function of its input file bytes and flags
-(plus the MONADLAB_PRIME environment default), so repeated runs produce
-byte-identical output.  Exit codes: 0 success, 1 mathematical failure
+(plus MONADLAB_PRIME, the default scan prime of jumping-scan, which every
+command reads so that a bad value refuses each of them), so repeated runs
+produce byte-identical output.  Exit codes: 0 success, 1 mathematical failure
 (validation failure, classification refusal, unrepresentable dims),
 2 usage errors and malformed input files.
 """
@@ -172,7 +173,7 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_classify(args) -> int:
     M = _load_monad(args.monad)
-    report = pointwise.classify(M, args.prime)
+    report = pointwise.classify(M)
     if args.format == "json":
         _emit(_dump(report.to_json_obj()), args.out)
     else:
@@ -207,17 +208,14 @@ def _cmd_admissible(args) -> int:
 
 def _cmd_stability(args) -> int:
     M = _load_monad(args.monad)
-    cls = pointwise.classify(M, args.prime)
-    report = cohomology.stability_report(M, cls)
+    report = cohomology.stability_report(M, pointwise.classify(M))
     _emit(_dump(report.to_json_obj()), args.out)
     return EXIT_OK
 
 
 def _cmd_dualize(args) -> int:
     M = _load_monad(args.monad)
-    cls = pointwise.classify(M, args.prime)
-    dual = monad.dualize(M, cls)
-    _emit(monad.encode(dual).decode("utf-8"), args.out)
+    _emit(monad.encode(monad.dualize(M)).decode("utf-8"), args.out)
     return EXIT_OK
 
 
@@ -321,13 +319,6 @@ def _add_common(sp):
     sp.add_argument("--out", help="write output to this file instead of stdout")
 
 
-def _add_prime(sp, env_prime: int):
-    sp.add_argument("--prime", type=prime, default=env_prime,
-                    help="modulus of the rank certificates for a monad over Q; "
-                         "a deficient rank mod p falls back to Q "
-                         "(env MONADLAB_PRIME)")
-
-
 COMMANDS = ("examples", "generate", "validate", "invariants", "classify", "cohomology",
             "admissible", "stability", "dualize", "dsum", "restrict", "splitting",
             "jumping-scan", "codim-evidence", "uniformity")
@@ -375,7 +366,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     if sp := add("classify", _cmd_classify, "regularity of the cohomology sheaf"):
         sp.add_argument("monad")
         sp.add_argument("--format", choices=("human", "json"), default="human")
-        _add_prime(sp, env_prime)
         _add_common(sp)
 
     if sp := add("cohomology", _cmd_cohomology, "twist cohomology table"):
@@ -393,12 +383,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
     if sp := add("stability", _cmd_stability, "semistability/stability verdicts"):
         sp.add_argument("monad")
-        _add_prime(sp, env_prime)
         _add_common(sp)
 
     if sp := add("dualize", _cmd_dualize, "dual monad (locally free only)"):
         sp.add_argument("monad")
-        _add_prime(sp, env_prime)
         _add_common(sp)
 
     if sp := add("dsum", _cmd_dsum, "block-diagonal direct sum"):

@@ -10,10 +10,10 @@ field.reduce once: the identity over Q, x % p over F_p.  A field object is
 otherwise only a codec (coerce, parse, fmt).  Every elimination is integer
 elimination, by one routine: mod p over F_p, fraction-free (Bareiss) over
 Z for a matrix over Q, its rows first cleared of denominators.  A rank is
-the number of pivots.  A rank over Q is taken mod a prime first
-(_rank_mod_p), and Bareiss runs only when that rank falls short of the
-largest possible one.  A kernel is back-substituted from the echelon form,
-in integers over Q.
+the number of pivots.  A rank over Q is taken mod 32003 first
+(DenseMatrix.rank_over), and Bareiss runs only when that rank falls short
+of the largest possible one.  A kernel is back-substituted from the
+echelon form, in integers over Q.
 
 The module also provides monomial bases of the graded pieces of a
 polynomial ring (graded-lex, variable 0 highest), matrices of linear
@@ -330,25 +330,29 @@ class DenseMatrix:
         return rows, _echelon(rows, self.ncols, p)
 
     def rank(self) -> int:
-        """The number of pivots of the echelon form.
+        """The number of pivots of the echelon form (rank_over)."""
+        return self.rank_over()[0]
 
-        Over Q the rank is taken mod DEFAULT_PRIME first, and returned when
-        it reaches min(nrows, ncols).  When no denominator vanishes mod p,
-        every entry lies in Z_(p), and Z_(p) -> F_p is a ring map, so a
-        minor of the reduction is the reduction of the minor over Q: a
-        nonzero r x r minor mod p is a nonzero minor over Q, and the rank
-        over Q is at least the rank mod p.  A rank mod p that reaches the
-        largest possible value is therefore the rank over Q.  Otherwise, or
-        when a denominator vanishes mod p, Bareiss decides.  A full-rank
-        matrix thus costs one elimination mod p in place of Bareiss, and a
-        rank-deficient one costs both, the mod-p pass being the cheaper of
-        the two.
+    def rank_over(self) -> tuple[int, str]:
+        """The rank, and the name of the field whose elimination gave it.
+
+        Over Q the rank is taken mod DEFAULT_PRIME first, and returned, over
+        "Fp:32003", when it reaches min(nrows, ncols).  When no denominator
+        vanishes mod p, every entry lies in Z_(p), and Z_(p) -> F_p is a
+        ring map, so a minor of the reduction is the reduction of the minor
+        over Q: a nonzero r x r minor mod p is a nonzero minor over Q, and
+        the rank over Q is at least the rank mod p.  A rank mod p that
+        reaches the largest possible value is therefore the rank over Q.
+        Otherwise, or when a denominator vanishes mod p, Bareiss decides,
+        over "Q".  A full-rank matrix thus costs one elimination mod p in
+        place of Bareiss, and a rank-deficient one costs both, the mod-p
+        pass being the cheaper of the two.
         """
         if self.field.kind == "Q":
             r = _rank_mod_p(self.data, self.ncols, DEFAULT_PRIME)
             if r == min(self.nrows, self.ncols):
-                return r
-        return len(self._echelon()[1])
+                return r, GF(DEFAULT_PRIME).name
+        return len(self._echelon()[1]), self.field.name
 
     def right_kernel(self) -> "DenseMatrix":
         """Basis of {x : M x = 0}, returned as the columns of a matrix.
@@ -616,7 +620,7 @@ class RankProof:
                 f"{self.shape[0]}x{self.shape[1]} multiplication map over {self.over}")
 
 
-def onto_everywhere(P: LinearFormMatrix, prime: int = DEFAULT_PRIME) -> RankProof:
+def onto_everywhere(P: LinearFormMatrix) -> RankProof:
     """Decide whether P : O^a -> O(1)^b on P^n is onto at every point.
 
     The points are those over the algebraic closure, and one rank decides,
@@ -640,15 +644,15 @@ def onto_everywhere(P: LinearFormMatrix, prime: int = DEFAULT_PRIME) -> RankProo
     field extension, so the rank over the base field decides the statement
     over its algebraic closure.
 
-    Over Q the rank is taken mod `prime` first (_rank_proof).  A map
+    Over Q the rank is taken mod 32003 first (_rank_proof).  A map
     O(-1)^v -> O^w is injective at every point iff its transpose
     O^w -> O(1)^v is onto there, so the same test decides left maps.
     """
     b = P.nrows
-    return _rank_proof(P, b - 1, b * monomial_count(P.nvars, b), prime)
+    return _rank_proof(P, b - 1, b * monomial_count(P.nvars, b))
 
 
-def generically_injective(P: LinearFormMatrix, prime: int = DEFAULT_PRIME) -> RankProof:
+def generically_injective(P: LinearFormMatrix) -> RankProof:
     """Decide whether P : O(-1)^v -> O^w on P^n is injective as a sheaf map.
 
     That is, injective at a general point, or of generic rank v; one rank
@@ -666,29 +670,23 @@ def generically_injective(P: LinearFormMatrix, prime: int = DEFAULT_PRIME) -> Ra
     Multiplied by x_0^(v-1-r) it is a nonzero kernel vector of degree v-1.
     Rank does not change under field extension, so the verdict holds over
     the algebraic closure, and no field elements are needed: it works over
-    F_2 as well.  Over Q the rank is taken mod `prime` first (_rank_proof).
+    F_2 as well.  Over Q the rank is taken mod 32003 first (_rank_proof).
     """
     v = P.ncols
-    return _rank_proof(P, v - 1, v * monomial_count(P.nvars, v - 1), prime)
+    return _rank_proof(P, v - 1, v * monomial_count(P.nvars, v - 1))
 
 
-def _rank_proof(P: LinearFormMatrix, d: int, target: int, prime: int) -> RankProof:
+def _rank_proof(P: LinearFormMatrix, d: int, target: int) -> RankProof:
     """The rank of mult_map(P, d) against its full value `target`.
 
-    Over Q the rank is taken mod `prime` first, as in DenseMatrix.rank:
-    the reduction can only lower a rank, so a rank mod p that reaches
-    `target` proves full rank over Q, and the proof is over "Fp:<prime>".
-    Bareiss decides, over "Q", only when the rank mod p falls short or a
-    denominator of P vanishes mod p.
+    The rank is DenseMatrix.rank_over's: over Q a rank mod 32003 that
+    reaches `target` proves full rank, over "Fp:32003", and any other
+    verdict over Q is reported over "Q".
     """
     m = mult_map(P, d)
-    if P.field.kind == "Fp":
-        r, over = m.rank(), P.field.name
-    else:
-        r, over = _rank_mod_p(m.data, m.ncols, prime), GF(prime).name
-        if r != target:
-            r, over = len(m._echelon()[1]), "Q"
-    return RankProof(r == target, r, target, (m.nrows, m.ncols), over)
+    r, over = m.rank_over()
+    return RankProof(r == target, r, target, (m.nrows, m.ncols),
+                     over if r == target else P.field.name)
 
 
 def linear_locus(L: LinearFormMatrix) -> list[list]:

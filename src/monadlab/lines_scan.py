@@ -62,11 +62,10 @@ import random
 from itertools import chain, combinations, count, islice
 from operator import mul
 
-from . import pointwise
 from ._seeds import seed_of_text
 from .errors import MonadLabError, NotLocallyFreeError
 from .exactlin import GF, QQ, DenseMatrix, PrimeField, _echelon, certify
-from .monad import COEFF_BOUND, SpecialMonad, invariants, to_prime_field
+from .monad import COEFF_BOUND, SpecialMonad, invariants, require_locally_free, to_prime_field
 from .pencil import Line, check_line, line_status, restrict, splitting_type
 
 MAX_SAMPLES = 10 ** 6
@@ -123,11 +122,13 @@ def sample_line(seed: int, index: int, field, ambient_n: int = 3) -> Line:
 
 
 def _require_locally_free(M: SpecialMonad, classification):
-    cls = classification or pointwise.classify(M)
-    if cls.level != "locally_free":
-        raise NotLocallyFreeError(
-            f"line scans require a locally-free sheaf; classification is {cls.level}")
-    return cls
+    """Refuse a sheaf that is not locally free: by its classification when
+    one is given, else by the one rank of monad.require_locally_free."""
+    if classification is None:
+        require_locally_free(M, "line scans")
+    elif classification.level != "locally_free":
+        raise NotLocallyFreeError(f"line scans require a locally-free sheaf; "
+                                  f"classification is {classification.level}")
 
 
 def _scan_field(M: SpecialMonad, prime: int) -> PrimeField:
@@ -280,7 +281,13 @@ def jumping_scan(M: SpecialMonad, prime: int, samples: int, seed: int = 0,
     _require_locally_free(M, classification)
     if invariants(M).c1 != 0:
         raise ValueError("jumping scans are defined for c1 = 0 sheaves")
-    split = _ScanContext(to_prime_field(M, prime)).split_drawn
+    return _scan(M, field, samples, seed, keep_lines)
+
+
+def _scan(M: SpecialMonad, field: PrimeField, samples: int, seed: int,
+          keep_lines: bool = False) -> ScanReport:
+    """jumping_scan of M over `field`, its conditions already checked."""
+    split = _ScanContext(to_prime_field(M, field.p)).split_drawn
     jumping = 0
     degenerate = 0
     spectrum: dict[tuple[int, ...], int] = {}
@@ -301,7 +308,7 @@ def jumping_scan(M: SpecialMonad, prime: int, samples: int, seed: int = 0,
         if keep_lines:
             outcomes.append(LineOutcome(i, line or Line(field, points, minors),
                                         status, parts))
-    return ScanReport(M.monad_id, field.name, prime, samples, seed,
+    return ScanReport(M.monad_id, field.name, field.p, samples, seed,
                       jumping, degenerate, spectrum, witnesses, outcomes)
 
 
@@ -421,7 +428,7 @@ def codim_evidence(M: SpecialMonad, primes, samples: int, seed: int = 0,
     if len(set(primes)) < 2:
         raise ValueError("need at least two distinct primes to estimate an exponent")
     _check_samples(samples)
-    cls = _require_locally_free(M, classification)
+    _require_locally_free(M, classification)
     inv = invariants(M)
     if inv.rank != 2 or inv.c1 != 0:
         raise ValueError("codimension evidence is defined for rank 2, c1 = 0")
@@ -429,7 +436,7 @@ def codim_evidence(M: SpecialMonad, primes, samples: int, seed: int = 0,
     reduced = [to_prime_field(M, p) for p in primes]
     rows = []
     for p, Mp in zip(primes, reduced):
-        rep = jumping_scan(Mp, p, samples, seed, cls)
+        rep = _scan(Mp, Mp.field, samples, seed)
         rows.append({"prime": p, "samples": rep.samples, "jumping": rep.jumping,
                      "fraction": rep.fraction})
     if all(r["jumping"] == 0 for r in rows):

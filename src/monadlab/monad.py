@@ -203,17 +203,18 @@ def invariants(M: SpecialMonad) -> ChernData:
 
 
 class CheckResult:
-    __slots__ = ("name", "passed", "confidence", "detail", "witness")
-    def __init__(self, name: str, passed: bool, confidence: str, detail: str = "",
+    __slots__ = ("name", "passed", "detail", "witness")
+    confidence = "exact"                 # every check is decided exactly
+    def __init__(self, name: str, passed: bool, detail: str = "",
                  witness: list[str] | None = None):
         self.name = name
         self.passed = passed
-        self.confidence = confidence     # "exact" or "monte_carlo"
         self.detail = detail
         self.witness = witness
 
     def to_json_obj(self):
-        return {name: getattr(self, name) for name in self.__slots__}
+        return {"name": self.name, "passed": self.passed, "confidence": self.confidence,
+                "detail": self.detail, "witness": self.witness}
 
 
 class ValidationReport:
@@ -260,23 +261,22 @@ def _check_beta_surjective(M: SpecialMonad) -> CheckResult:
     n = M.ambient_n
     name = "beta_surjective"
     if vp == 0:
-        return CheckResult(name, True, "exact", "no conditions (v' = 0)")
+        return CheckResult(name, True, "no conditions (v' = 0)")
     if vp == 1:
         # a single row: its common zero locus is a linear subspace, and a
         # failure names one of its points
         basis = exactlin.linear_locus(M.beta)
         r = n + 1 - len(basis)
         if not basis:
-            return CheckResult(name, True, "exact",
-                               f"coefficient rank {r} = n+1, no common zero")
-        return CheckResult(name, False, "exact",
+            return CheckResult(name, True, f"coefficient rank {r} = n+1, no common zero")
+        return CheckResult(name, False,
                            f"coefficient rank {r} < {n + 1}: common zero locus "
                            f"of dimension {n - r}",
                            witness=fmt_point(M.field, basis[0]))
     proof = exactlin.onto_everywhere(M.beta)
     if proof.full:
-        return CheckResult(name, True, "exact", f"onto at every point: {proof}")
-    return CheckResult(name, False, "exact",
+        return CheckResult(name, True, f"onto at every point: {proof}")
+    return CheckResult(name, False,
                        f"rank drop at a point over the algebraic closure of "
                        f"{M.field.name}: {proof}")
 
@@ -285,18 +285,16 @@ def _check_alpha_injective(M: SpecialMonad) -> CheckResult:
     v = M.v
     name = "alpha_injective"
     if v == 0:
-        return CheckResult(name, True, "exact", "empty left map")
+        return CheckResult(name, True, "empty left map")
     # one cheap try first: full column rank at a point proves injectivity
     pt = random_point(rng_for("validate-alpha", 0, M.w, M.v), M.field, M.ambient_n + 1)
     if M.alpha.at(pt).rank() == v:
-        return CheckResult(name, True, "exact",
-                           "full column rank at a sampled point",
+        return CheckResult(name, True, "full column rank at a sampled point",
                            witness=fmt_point(M.field, pt))
     proof = exactlin.generically_injective(M.alpha)
     if proof.full:
-        return CheckResult(name, True, "exact", f"injective as a sheaf map: {proof}")
-    return CheckResult(name, False, "exact",
-                       f"all maximal minors vanish identically: {proof}")
+        return CheckResult(name, True, f"injective as a sheaf map: {proof}")
+    return CheckResult(name, False, f"all maximal minors vanish identically: {proof}")
 
 
 def validate(M: SpecialMonad) -> ValidationReport:
@@ -313,7 +311,7 @@ def validate(M: SpecialMonad) -> ValidationReport:
     size of the field.
     """
     comp_ok = exactlin.compose_check(M.beta, M.alpha)
-    composition = CheckResult("composition_zero", comp_ok, "exact",
+    composition = CheckResult("composition_zero", comp_ok,
                               "" if comp_ok else "beta*alpha has a nonzero quadric entry")
     beta_check = _check_beta_surjective(M)
     alpha_check = _check_alpha_injective(M)
@@ -339,18 +337,26 @@ def direct_sum(M1: SpecialMonad, M2: SpecialMonad) -> SpecialMonad:
                         M1.beta.block_diag(M2.beta))
 
 
-def dualize(M: SpecialMonad, classification=None) -> SpecialMonad:
-    """The dual monad (v', w, v) with maps (beta^T, alpha^T).
+def require_locally_free(M: SpecialMonad, what: str) -> None:
+    """Refuse, naming `what`, unless the cohomology sheaf is locally free.
 
-    Only valid when the cohomology sheaf is locally free; the left-map
-    degeneracy classification is consulted (and computed if absent).
+    It is iff alpha is injective at every point, on any P^n: one rank
+    decides it (exactlin.onto_everywhere of alpha^T), and the
+    NotLocallyFreeError names that rank when it falls short.
     """
-    from . import pointwise
-    cls = classification or pointwise.classify(M)
-    if cls.level != "locally_free":
-        raise NotLocallyFreeError(
-            f"dual monad requires a locally-free sheaf; classification is {cls.level}"
-        )
+    proof = exactlin.onto_everywhere(M.alpha.transpose())
+    if not proof.full:
+        raise NotLocallyFreeError(f"{what} requires a locally-free sheaf; the left map "
+                                  f"drops rank at a point: {proof}")
+
+
+def dualize(M: SpecialMonad) -> SpecialMonad:
+    """The dual monad (v', w, v) with maps (beta^T, alpha^T), on any P^n.
+
+    Only valid when the cohomology sheaf is locally free
+    (require_locally_free).
+    """
+    require_locally_free(M, "dual monad")
     return SpecialMonad(M.ambient_n, M.beta.transpose(), M.alpha.transpose())
 
 

@@ -50,7 +50,7 @@ no level is met, the failed proof on all of P^n gives dimension 0.
 Over F_p there are only p hyperplanes H_t.  A short section rules a level
 out at any p, but a level met by every one of them is proven only when
 p >= N_d; below that the locus is refused with a ValueError naming p and
-N_d.  Over Q the ranks are taken mod `prime` first and over Q when they
+N_d.  Over Q the ranks are taken mod 32003 first and over Q when they
 fall short (exactlin._rank_proof), so every verdict is exact.
 
 When every section meets, level d takes N_d sections of N_(d-1) sections
@@ -133,32 +133,32 @@ def _section(T: LinearFormMatrix, t: int) -> LinearFormMatrix:
     return LinearFormMatrix(T.field, T.nrows, T.ncols, T.nvars - 1, [T.at(b) for b in basis])
 
 
-def _meets(T: LinearFormMatrix, d: int, prime: int, proofs: list) -> bool | None:
+def _meets(T: LinearFormMatrix, d: int, proofs: list) -> bool | None:
     """Whether the locus of T on P^m (m = T.nvars - 1) has dimension >= d, for 0 <= d < m.
 
     True or False, or None when F_p has too few hyperplanes to tell.
     Every rank proof taken is appended to `proofs`.
     """
     if d == 0:
-        proofs.append(onto_everywhere(T.transpose(), prime))
+        proofs.append(onto_everywhere(T.transpose()))
         return not proofs[-1].full
     count = _hyperplanes(T.nvars - 1, T.ncols, d)
     known = T.field.kind != "Fp" or count <= T.field.p
     for t in range(count if known else T.field.p):
-        meets = _meets(_section(T, t), d - 1, prime, proofs)
+        meets = _meets(_section(T, t), d - 1, proofs)
         if meets is False:
             return False
         known = known and meets
     return True if known else None
 
 
-def degeneracy_dim(L: LinearFormMatrix, prime: int = DEFAULT_PRIME) -> DegeneracyResult:
+def degeneracy_dim(L: LinearFormMatrix) -> DegeneracyResult:
     """Dimension of the locus where L drops below full (short-side) rank.
 
-    Exact at every dimension (module docstring).  `prime` is the modulus
-    of the rank proofs over Q; over F_p the field's own prime is used.
-    Raises ValueError when the count needs more than MAX_SLICE_PROOFS
-    slice proofs, or more hyperplanes than F_p has.
+    Exact at every dimension (module docstring).  The method records the
+    modulus of the rank proofs: the field's own prime over F_p, else
+    DEFAULT_PRIME.  Raises ValueError when the count needs more than
+    MAX_SLICE_PROOFS slice proofs, or more hyperplanes than F_p has.
     """
     T = L if L.nrows >= L.ncols else L.transpose()
     r = T.ncols
@@ -169,14 +169,13 @@ def degeneracy_dim(L: LinearFormMatrix, prime: int = DEFAULT_PRIME) -> Degenerac
         return _exact_linear(T)
 
     n = T.nvars - 1
-    if T.field.kind == "Fp":
-        prime = T.field.p
-    whole = onto_everywhere(T.transpose(), prime)
+    prime = T.field.p if T.field.kind == "Fp" else DEFAULT_PRIME
+    whole = onto_everywhere(T.transpose())
     whole_method = _method("onto_rank", prime, whole, level=n)
     if whole.full:
         return DegeneracyResult("empty", None, whole_method,
                                 note=f"full rank at every point: {whole}")
-    generic = generically_injective(T, prime)
+    generic = generically_injective(T)
     if not generic.full:
         return DegeneracyResult("dim", n, _method("generic_rank", prime, generic),
                                 note=f"rank drop at a general point: {generic}")
@@ -186,7 +185,7 @@ def degeneracy_dim(L: LinearFormMatrix, prime: int = DEFAULT_PRIME) -> Degenerac
                          f"{worst} slice proofs, over the cap {MAX_SLICE_PROOFS}")
     proofs = []
     for d in range(n - 1, 0, -1):
-        meets = _meets(T, d, prime, proofs)
+        meets = _meets(T, d, proofs)
         count = _hyperplanes(n, r, d)
         if meets is None:
             raise ValueError(f"over F_{prime} only {prime} hyperplanes H_t exist, and "
@@ -230,7 +229,7 @@ class ClassificationReport:
         }
 
 
-def classify(M, prime: int = DEFAULT_PRIME) -> ClassificationReport:
+def classify(M) -> ClassificationReport:
     """Regularity level of the cohomology sheaf from the left-map degeneracy.
 
     An empty locus is locally free; a locus of dimension <= n - 3 is
@@ -241,7 +240,7 @@ def classify(M, prime: int = DEFAULT_PRIME) -> ClassificationReport:
     n = M.ambient_n
     if n > 3:
         raise ValueError(f"the regularity levels are named on P2 and P3, not P{n}")
-    deg = degeneracy_dim(M.alpha, prime)
+    deg = degeneracy_dim(M.alpha)
     level = ("locally_free" if deg.kind == "empty"
              else "reflexive" if deg.dim <= n - 3
              else "torsion_free" if deg.dim <= n - 2

@@ -143,7 +143,7 @@ def test_criterion_4_duality():
     for M in cases:
         cls = classify(M)
         assert cls.level == "locally_free", M.dims()
-        D = dualize(M, cls)
+        D = dualize(M)
         t = cohomology_table(M, -6, 2)
         td = cohomology_table(D, -6, 2)
         for k in range(-6, 3):
@@ -276,7 +276,7 @@ def test_criterion_9_serialization(tmp_path, capsys):
     corpus += [trivial_monad(3), random_monad(2, 6, 2, seed=1),
                random_monad(1, 4, 1, seed=3, field=GF(32003))]
     lf = example_monad("locally-free")
-    corpus.append(dualize(lf, classify(lf)))
+    corpus.append(dualize(lf))
     for M in corpus:
         data = encode(M)
         M2 = decode(data)

@@ -149,26 +149,47 @@ def test_dualize_and_dsum(capsys, tmp_path, lf_path):
 
 def test_nonpositive_slices_are_a_usage_error(capsys, tmp_path):
     # the slice sampler and its knobs are gone: every level is decided by
-    # a hyperplane count, so --slices and --seed are unknown options
+    # a hyperplane count, so --slices and --seed are unknown options; so is
+    # --prime, since every rank over Q is taken mod 32003 first
     tf_path = tmp_path / "tf.json"
     tf2_path = tmp_path / "tf2.json"
     run(capsys, "examples", "--name", "torsion-free", "--out", str(tf_path))
     run(capsys, "dsum", str(tf_path), str(tf_path), "--out", str(tf2_path))
     for command in ("classify", "stability", "dualize"):
         for flag, value in (("--slices", "0"), ("--slices", "-2"), ("--slices", "50"),
-                            ("--seed", "0")):
+                            ("--seed", "0"), ("--prime", "3"), ("--prime", "4")):
             code, out, err = run(capsys, command, str(tf2_path), flag, value)
             assert (code, out) == (2, ""), (command, flag)
             assert f"error: unrecognized arguments: {flag} {value}\n" in err
 
 
-def test_classify_with_a_bad_certificate_prime(capsys, tmp_path):
-    # mod 3 the left map drops rank at some points; --prime only picks the
-    # modulus of the rank certificate, and the rank over Q decides
+def test_a_curve_locus_over_f5_is_not_locally_free(capsys, tmp_path):
+    # F_5 has too few hyperplanes to prove the curve of tf + tf, but
+    # "locally free" is one rank: dualize and the scan refuse with exit 1
+    from monadlab import direct_sum, encode, example_monad, to_prime_field
+    tf = example_monad("torsion-free")
+    path = tmp_path / "tf2f5.json"
+    path.write_bytes(encode(to_prime_field(direct_sum(tf, tf), 5)))
+    for argv in (("dualize",), ("jumping-scan", "--prime", "5", "--samples", "10")):
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out) == (1, ""), argv
+        assert "requires a locally-free sheaf; the left map drops rank at a point" in err
+
+
+def test_classify_over_q_when_the_reduction_falls_short(capsys, tmp_path):
+    # column 0 of the left map times 32003, an isomorphic monad: mod 32003
+    # that column vanishes, and the rank over Q decides
     path = tmp_path / "m.json"
     run(capsys, "generate", "--dims", "2,6,2", "--seed", "1", "--out", str(path))
-    code, out, _ = run(capsys, "classify", str(path), "--prime", "3")
+    obj = json.loads(path.read_text())
+    for coeffs in obj["alpha"]:
+        for row in coeffs:
+            row[0] = str(32003 * int(row[0]))
+    path.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "classify", str(path))
     assert (code, out) == (0, "LocallyFree (exact)\n")
+    code, out, _ = run(capsys, "classify", str(path), "--format", "json")
+    assert code == 0 and json.loads(out)["degeneracy"]["method"]["over"] == "Q"
 
 
 def test_classify_over_f101_is_one_rank_per_level(capsys, tmp_path):
@@ -403,13 +424,13 @@ def test_codim_evidence_reduces_every_prime_before_scanning(capsys, tmp_path,
     path.write_text(json.dumps(obj))
     from monadlab import lines_scan
     scans = []
-    scan = lines_scan.jumping_scan
+    scan = lines_scan._scan
 
     def counting(*args, **kwargs):
-        scans.append(args[1])
+        scans.append(args[1].p)
         return scan(*args, **kwargs)
 
-    monkeypatch.setattr(lines_scan, "jumping_scan", counting)
+    monkeypatch.setattr(lines_scan, "_scan", counting)
     code, out, err = run(capsys, "codim-evidence", str(path), "--primes", "101,1009",
                          "--samples", "50")
     assert code == 0 and scans == [101, 1009]
@@ -625,11 +646,10 @@ def test_a_composite_prime_flag_is_refused_before_any_rank(capsys, tmp_path, lf_
     run(capsys, "generate", "--dims", "2,6,2", "--seed", "0", "--out", str(path))
     request.getfixturevalue("no_rank")
     for monad_path in (lf_path, str(path)):
-        for command in ("classify", "stability", "dualize", "jumping-scan"):
-            code, out, err = run(capsys, command, monad_path, "--prime", "4")
-            assert (code, out) == (2, ""), command
-            assert err.endswith(f"monadlab {command}: error: argument --prime: "
-                                "4 is not prime\n"), err
+        code, out, err = run(capsys, "jumping-scan", monad_path, "--prime", "4")
+        assert (code, out) == (2, "")
+        assert err.endswith("monadlab jumping-scan: error: argument --prime: "
+                            "4 is not prime\n"), err
 
 
 def test_a_composite_entry_of_primes_names_the_flag(capsys, lf_path, no_rank):

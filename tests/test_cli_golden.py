@@ -12,9 +12,11 @@ monads (2,6,2) seed 0 and (2,8,2) seed 1 over Q; a (1,4,1) on P2; the
 reduction mod 7 of (2,6,2) seed 3, which is not a monad; the
 null-correlation monad on P5; copies of the P2 monad whose ambient_n is 8
 or 2.0, or whose v and v_prime are true; alpha = 0 with
-beta = (-y, x, z, w), which is not a monad either; and a rank-3 reflexive
-sheaf with c1 = 0 and no sections (test_cohomology's _reflexive_rank3).  A command that names {out} writes a file there; its bytes are
-pinned as a fourth digest.
+beta = (-y, x, z, w), which is not a monad either; a rank-3 reflexive
+sheaf with c1 = 0 and no sections (test_cohomology's _reflexive_rank3);
+and the reduction mod 5 of the torsion-free example summed with itself,
+whose curve locus F_5 has too few hyperplanes to prove.  A command that
+names {out} writes a file there; its bytes are pinned as a fourth digest.
 
 The parser surface is pinned too: --help of the program and of each
 subcommand, and its usage errors.  A command may start with NAME=value
@@ -49,7 +51,14 @@ except ImportError:  # the script form below runs without pytest
 
 from monadlab.cli import main
 from monadlab.exactlin import QQ, forms_matrix
-from monadlab.monad import SpecialMonad, encode, example_monad, random_monad, to_prime_field
+from monadlab.monad import (
+    SpecialMonad,
+    direct_sum,
+    encode,
+    example_monad,
+    random_monad,
+    to_prime_field,
+)
 
 # (name, argv with {name} standing for an input file) -> digests
 CASES = [
@@ -131,6 +140,8 @@ CASES = [
     ("cohomology-a0", "cohomology {a0}"),
     ("validate-t1", "validate {t1}"),
     ("stability-r3", "stability {r3}"),
+    ("dualize-p5", "dualize {p5}"),
+    ("dualize-tf2f5", "dualize {tf2f5}"),
 ]
 
 GOLDEN = {
@@ -161,7 +172,7 @@ GOLDEN = {
     'stability-lf7': ('695c2db28ffbf816', 'e3b0c44298fc1c14', 0),
     'stability-s0': ('695c2db28ffbf816', 'e3b0c44298fc1c14', 0),
     'dualize-lf7': ('4da6b2168cfca463', 'e3b0c44298fc1c14', 0),
-    'dualize-tf': ('e3b0c44298fc1c14', 'd8bbd6ea2e52f3a0', 1),
+    'dualize-tf': ('e3b0c44298fc1c14', '940f3740017266d5', 1),
     'restrict-lf7': ('afeb5b8845cf188d', 'e3b0c44298fc1c14', 0),
     'restrict-s1': ('a5224f2469ce6399', 'e3b0c44298fc1c14', 0),
     'splitting-lf7': ('fab9c6ed09af4a81', 'e3b0c44298fc1c14', 0),
@@ -190,11 +201,11 @@ GOLDEN = {
     'help-generate': ('cf4a8314d2eecf0d', 'e3b0c44298fc1c14', 0),
     'help-validate': ('0cbdb23f23454291', 'e3b0c44298fc1c14', 0),
     'help-invariants': ('5f25d7d577a3adda', 'e3b0c44298fc1c14', 0),
-    'help-classify': ('f91ed0a55c780cfe', 'e3b0c44298fc1c14', 0),
+    'help-classify': ('808f03dd5e3c09a5', 'e3b0c44298fc1c14', 0),
     'help-cohomology': ('a50294dc262ce9f7', 'e3b0c44298fc1c14', 0),
     'help-admissible': ('dfc06cfe0d25b61f', 'e3b0c44298fc1c14', 0),
-    'help-stability': ('cdb2b0be5e6ac52e', 'e3b0c44298fc1c14', 0),
-    'help-dualize': ('8c289fa0deb18921', 'e3b0c44298fc1c14', 0),
+    'help-stability': ('540c5395b2b6c5b9', 'e3b0c44298fc1c14', 0),
+    'help-dualize': ('767df3ff22de75a0', 'e3b0c44298fc1c14', 0),
     'help-dsum': ('292516f7f49680bb', 'e3b0c44298fc1c14', 0),
     'help-restrict': ('f32bd97f7be3aec9', 'e3b0c44298fc1c14', 0),
     'help-splitting': ('493c86eb4bdef803', 'e3b0c44298fc1c14', 0),
@@ -216,13 +227,15 @@ GOLDEN = {
     'classify-p5': ('e3b0c44298fc1c14', '853fc4f591f1f35c', 2),
     'admissible-p5': ('e3b0c44298fc1c14', '5624936db43604d7', 2),
     'stability-p5': ('e3b0c44298fc1c14', '853fc4f591f1f35c', 2),
-    'jumping-p5': ('e3b0c44298fc1c14', '853fc4f591f1f35c', 2),
+    'jumping-p5': ('e3b0c44298fc1c14', '75318a1c81c46d2b', 2),
     'validate-n8': ('e3b0c44298fc1c14', '72094a7bf540a66f', 2),
     'validate-f2': ('e3b0c44298fc1c14', '72094a7bf540a66f', 2),
     'generate-p2-031': ('e3c3a58e0a51ff48', 'e3b0c44298fc1c14', 0),
     'cohomology-a0': ('e3b0c44298fc1c14', 'b3c8199b078e8999', 1),
     'validate-t1': ('e3b0c44298fc1c14', 'ba5952e805178d4c', 2),
     'stability-r3': ('8f184b69d21f1c0c', 'e3b0c44298fc1c14', 0),
+    'dualize-p5': ('9e51c50cf4fa65f9', 'e3b0c44298fc1c14', 0),
+    'dualize-tf2f5': ('e3b0c44298fc1c14', 'a15108bb80ea113d', 1),
 }
 
 # Python 3.13's argparse wraps the program's usage line differently
@@ -277,6 +290,8 @@ def write_inputs(directory) -> dict:
         "a0": encode(a0),
         "t1": _with(p2, v=True, v_prime=True),
         "r3": encode(r3),
+        "tf2f5": encode(to_prime_field(direct_sum(example_monad("torsion-free"),
+                                                  example_monad("torsion-free")), 5)),
     }
     paths = {}
     for name, data in monads.items():

@@ -126,7 +126,7 @@ def test_table_additivity_under_direct_sum():
 
 def test_serre_duality_table_symmetry():
     M = example_monad("locally-free")
-    D = dualize(M, classify(M))
+    D = dualize(M)
     t = cohomology_table(M, -6, 2)
     td = cohomology_table(D, -6, 2)
     for k in range(-6, 3):
@@ -230,7 +230,7 @@ def test_stability_in_rank_3_reads_the_dual_sections(monkeypatch):
         assert (rep.semistable, rep.stable, rep.h0, rep.h0_dual) == ("yes", stable, 0, h0_dual)
         assert rep.notes == []
         if level == "locally_free":
-            assert h0_dual == twist_cohomology(dualize(M, cls), 0)[0]
+            assert h0_dual == twist_cohomology(dualize(M), 0)[0]
     # a section of E decides "no" before the dual column is read
     M = direct_sum(example_monad("locally-free"), trivial_monad(1))
     rep = stability_report(M, classify(M))
@@ -247,10 +247,9 @@ def test_stability_inconclusive_outside_hypotheses():
                                        ((2, 7, 2), 0), ((2, 8, 1), 5)])
 def test_dual_sections_by_serre_duality_match_the_dual_monad(dims, seed):
     M = example_monad("locally-free") if dims is None else random_monad(*dims, seed=seed)
-    cls = classify(M)
     rep = dual_vanishing_check(M, (-6, 4))
     assert list(rep.values) == list(range(-6, 5))
-    assert list(rep.values.values()) == cohomology_table(dualize(M, cls), -6, 4).rows[0]
+    assert list(rep.values.values()) == cohomology_table(dualize(M), -6, 4).rows[0]
 
 
 @pytest.mark.parametrize("name", ["torsion-free", "reflexive"])
@@ -289,7 +288,7 @@ def test_p2_monad_cohomology():
     assert twist_cohomology(P, -1)[1] == 1
     assert admissibility_check(P).passed
     # duality on P2: h^p(E(k)) = h^{2-p}(E*(-k-3))
-    D = dualize(P, classify(P))
+    D = dualize(P)
     t = cohomology_table(P, -6, 2)
     td = cohomology_table(D, -6, 3)
     for k in range(-6, 2):

@@ -9,7 +9,7 @@ pinned on P5 and P7, and checked against Serre duality, additivity under
 direct sums and a unimodular change of coordinates.  The rules that are
 defined only on P2 and P3 (Chern data, the admissibility pattern, the
 regularity level names) refuse a larger n with a ValueError that names
-the rule.
+the rule; dualize, whose one condition is a rank, runs on every P^n.
 """
 
 import random
@@ -234,6 +234,11 @@ def test_the_general_pipelines_run_on_p5():
         assert tuple(parts) == (0, 0, 0, 0)
     report = trivial_splitting_test(M, samples=3)
     assert report.certified and report.witness is not None
+    # local freeness is one rank on any P^n; the bundle is self-dual, so
+    # its dual monad has the same table
+    D = dualize(M)
+    assert validate(D).overall
+    assert cohomology_table(D, -8, 2).rows == cohomology_table(M, -8, 2).rows
 
 
 def test_the_p2_and_p3_rules_refuse_p5():
@@ -250,7 +255,5 @@ def test_the_p2_and_p3_rules_refuse_p5():
     # their callers inherit the refusal
     with pytest.raises(ValueError, match="Chern data"):
         stability_report(M, None)
-    with pytest.raises(ValueError, match="regularity levels"):
-        dualize(M)
-    with pytest.raises(ValueError, match="regularity levels"):
+    with pytest.raises(ValueError, match="Chern data"):
         jumping_scan(M, 101, 10)

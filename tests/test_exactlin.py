@@ -223,13 +223,14 @@ def test_clean_q_pipelines_take_no_bareiss_rank(monkeypatch):
 
 
 def test_a_q_proof_that_falls_short_reduces_once(monkeypatch):
-    # a deficient rank mod 5 falls back to Bareiss on the same map, and
+    # a deficient rank mod 32003 falls back to Bareiss on the same map, and
     # does not reduce it mod p again
-    L = forms_matrix(QQ, 3, [["5*x", "y", "z"]])
+    L = forms_matrix(QQ, 3, [["32003*x", "y", "z"]])
     calls = _echelon_calls(monkeypatch)
-    proof = onto_everywhere(L, prime=5)
-    assert proof.full and proof.over == "Q" and calls == [5, None]
+    proof = onto_everywhere(L)
+    assert proof.full and proof.over == "Q" and calls == [PRIME, None]
     calls.clear()
+    L = forms_matrix(QQ, 3, [["5*x", "y", "z"]])
     assert onto_everywhere(L).over == "Fp:32003" and calls == [PRIME]
 
 
@@ -346,10 +347,11 @@ def test_onto_everywhere_known_answers():
 
     # over Q the rank mod p is only a lower bound: a deficient rank, or a
     # denominator that vanishes mod p, falls back to the rank over Q
-    for text in ("5*x", "1/5*x"):
-        proof = onto_everywhere(forms_matrix(QQ, 3, [[text, "y", "z"]]), prime=5)
+    for c in ("32003", "1/32003"):
+        proof = onto_everywhere(forms_matrix(QQ, 3, [[f"{c}*x", "y", "z"]]))
         assert proof.full and proof.over == "Q"
-        assert onto_everywhere(forms_matrix(QQ, 3, [[text, "y", "z"]])).over == "Fp:32003"
+    for c in ("5", "1/5"):
+        assert onto_everywhere(forms_matrix(QQ, 3, [[f"{c}*x", "y", "z"]])).over == "Fp:32003"
 
 
 def _rank_drops(P):
@@ -426,11 +428,11 @@ def test_generically_injective_known_answers():
     assert generically_injective(LinearFormMatrix.zeros(QQ, 3, 0, 4)).full
     # over Q a deficient rank mod p, or a denominator that vanishes mod p,
     # falls back to the rank over Q
-    for text in ("5*x", "1/5*x"):
-        P = forms_matrix(QQ, 3, [[text], ["0"]])
-        proof = generically_injective(P, prime=5)
+    for c in ("32003", "1/32003"):
+        proof = generically_injective(forms_matrix(QQ, 3, [[f"{c}*x"], ["0"]]))
         assert proof.full and proof.over == "Q"
-        assert generically_injective(P).over == "Fp:32003"
+    for c in ("5", "1/5"):
+        assert generically_injective(forms_matrix(QQ, 3, [[f"{c}*x"], ["0"]])).over == "Fp:32003"
 
 
 def _low_rank_forms(rng, field, w, v, r, nvars):

@@ -21,7 +21,9 @@ entries are corrected: the old engine read a rank drop of a rational
 matrix mod p as a drop over Q.  The left map of (2,6,2) seed 1 mod 3 and
 the right map of (2,6,2) seed 3 mod 5 drop rank at some points mod p, and
 one random line over F_p through such a point read as a surface.  Over Q
-both keep full rank at every point, and the rank over Q proves it.
+both keep full rank at every point, and the rank mod 32003 proves it, so
+these two entries are the rational matrices; every other "mod p" entry
+is the reduction mod p, which the old engine decided.
 """
 
 import collections
@@ -29,7 +31,6 @@ import hashlib
 import json
 
 from monadlab import (
-    DEFAULT_PRIME,
     GF,
     QQ,
     Line,
@@ -66,7 +67,10 @@ GOLDEN_LINES = {
 
 # Kind and dimension as recorded from the binary-form engine, except the
 # two entries marked "corrected"; digests and notes re-recorded from the
-# exact hyperplane count of degeneracy_dim.
+# exact hyperplane count of degeneracy_dim.  The corrected entries are the
+# rational matrices (CORRECTED_OVER_Q).
+CORRECTED_OVER_Q = ("(2,6,2)s1 alpha mod 3", "(2,6,2)s3 beta mod 5")
+
 GOLDEN_DEGENERACY = {
     "surface/Q": ("b610951ceba87a5c", "dim", 2,
         "all 13 hyperplane sections H_t meet the locus in dimension >= 1, the last with rank 5 < 6 of the 6x8 multiplication map over Q"),
@@ -85,8 +89,8 @@ GOLDEN_DEGENERACY = {
     "(2,6,2)s0 beta mod 5": ("91001d43301db577", "empty", None,
         "full rank at every point: rank 20 = 20 of the 20x24 multiplication map over Fp:5"),
     # corrected: recorded as dim 2 from a rank drop mod 3
-    "(2,6,2)s1 alpha mod 3": ("8c0b10510c3a39bc", "empty", None,
-        "full rank at every point: rank 20 = 20 of the 20x24 multiplication map over Q"),
+    "(2,6,2)s1 alpha mod 3": ("a4959a361bc61574", "empty", None,
+        "full rank at every point: rank 20 = 20 of the 20x24 multiplication map over Fp:32003"),
     "(2,6,2)s1 alpha mod 5": ("91001d43301db577", "empty", None,
         "full rank at every point: rank 20 = 20 of the 20x24 multiplication map over Fp:5"),
     "(2,6,2)s1 alpha mod 7": ("81c7c4b3c67ba72f", "empty", None,
@@ -104,8 +108,8 @@ GOLDEN_DEGENERACY = {
     "(2,6,2)s3 alpha mod 101": ("c42736a81981850d", "empty", None,
         "full rank at every point: rank 20 = 20 of the 20x24 multiplication map over Fp:101"),
     # corrected: recorded as dim 2 from a rank drop mod 5
-    "(2,6,2)s3 beta mod 5": ("74082415471a249b", "empty", None,
-        "full rank at every point: rank 20 = 20 of the 20x24 multiplication map over Q"),
+    "(2,6,2)s3 beta mod 5": ("a4959a361bc61574", "empty", None,
+        "full rank at every point: rank 20 = 20 of the 20x24 multiplication map over Fp:32003"),
     "(3,10,3)s1 alpha mod 7": ("452a91bd6680ad0d", "empty", None,
         "full rank at every point: rank 60 = 60 of the 60x100 multiplication map over Fp:7"),
     "(2,7,1)P2 alpha mod 5": ("dcc9f14d5e1b4c9c", "empty", None,
@@ -146,20 +150,21 @@ def degeneracy_cases():
     surface = forms_matrix(QQ, 4, [["x", "0"], ["y", "0"], ["0", "x"], ["0", "x"]])
     p2_curve = forms_matrix(QQ, 3, [["x", "0"], ["y", "0"], ["0", "x"], ["0", "x"]])
     cases = [
-        ("surface/Q", surface, DEFAULT_PRIME),
-        ("p2-curve/Q", p2_curve, DEFAULT_PRIME),
+        ("surface/Q", surface),
+        ("p2-curve/Q", p2_curve),
         ("lf+rf/Q", direct_sum(example_monad("locally-free"),
-                               example_monad("reflexive")).alpha, DEFAULT_PRIME),
+                               example_monad("reflexive")).alpha),
     ]
+
+    def mod(name, L, p):
+        cases.append((name, L if name in CORRECTED_OVER_Q else L.to_field(GF(p))))
     for seed in (0, 1, 3):
         M = random_monad(2, 6, 2, seed=seed)
         for p in (3, 5, 7, 101):
-            cases.append((f"(2,6,2)s{seed} alpha mod {p}", M.alpha, p))
-        cases.append((f"(2,6,2)s{seed} beta mod 5", M.beta, 5))
-    M = random_monad(3, 10, 3, seed=1)
-    cases.append(("(3,10,3)s1 alpha mod 7", M.alpha, 7))
-    M = random_monad(2, 7, 1, seed=1, ambient_n=2)
-    cases.append(("(2,7,1)P2 alpha mod 5", M.alpha, 5))
+            mod(f"(2,6,2)s{seed} alpha mod {p}", M.alpha, p)
+        mod(f"(2,6,2)s{seed} beta mod 5", M.beta, 5)
+    mod("(3,10,3)s1 alpha mod 7", random_monad(3, 10, 3, seed=1).alpha, 7)
+    mod("(2,7,1)P2 alpha mod 5", random_monad(2, 7, 1, seed=1, ambient_n=2).alpha, 5)
     return cases
 
 
@@ -204,7 +209,7 @@ def test_line_verdicts_reproduce_the_minor_gcds():
 
 def test_degeneracy_slices_reproduce_the_minor_gcds():
     got = {}
-    for name, L, prime in degeneracy_cases():
-        res = degeneracy_dim(L, prime)
+    for name, L in degeneracy_cases():
+        res = degeneracy_dim(L)
         got[name] = (_digest(res.to_json_obj()), res.kind, res.dim, res.note)
     assert got == GOLDEN_DEGENERACY

@@ -93,6 +93,44 @@ def test_jumping_scan_refuses_non_locally_free():
         jumping_scan(example_monad("torsion-free"), 101, 10)
 
 
+def test_a_sheaf_with_a_curve_locus_over_a_small_field_is_not_locally_free(monkeypatch):
+    # tf + tf degenerates on a line; F_5 has too few hyperplanes to prove
+    # that curve, but "locally free" is one rank on any field, so every
+    # operation that needs it refuses the sheaf with NotLocallyFreeError
+    from monadlab import dualize, pointwise
+
+    def no_classify(*args, **kwargs):
+        raise AssertionError("degeneracy_dim ran")
+    monkeypatch.setattr(pointwise, "degeneracy_dim", no_classify)
+    tf = example_monad("torsion-free")
+    M = to_prime_field(direct_sum(tf, tf), 5)
+    for refuse in (lambda: dualize(M), lambda: jumping_scan(M, 5, 10),
+                   lambda: uniformity_evidence(M, 10),
+                   lambda: codim_evidence(direct_sum(tf, tf), [5, 7], 10)):
+        with pytest.raises(NotLocallyFreeError, match="drops rank at a point"):
+            refuse()
+    # a locally-free sheaf passes on the same one rank
+    lf = example_monad("locally-free")
+    assert dualize(lf).dims() == (1, 4, 1)
+    assert jumping_scan(lf, 101, 20).samples == 20
+    assert uniformity_evidence(lf, 5).samples == 5
+    assert len(codim_evidence(lf, [101, 103], 20).rows) == 2
+
+
+def test_codim_evidence_checks_the_monad_once(monkeypatch):
+    from monadlab import exactlin
+    checked = []
+    onto = exactlin.onto_everywhere
+
+    def counting(P):
+        checked.append(P.field.name)
+        return onto(P)
+    monkeypatch.setattr(exactlin, "onto_everywhere", counting)
+    codim_evidence(example_monad("locally-free"), [101, 103], 20)
+    # the monad over Q once, then the two proofs of each reduction's certificate
+    assert checked == ["Q", "Fp:101", "Fp:101", "Fp:103", "Fp:103"]
+
+
 def test_jumping_scan_caps_samples():
     M = example_monad("locally-free")
     with pytest.raises(ValueError):
@@ -148,7 +186,7 @@ def test_codim_evidence_trivial_and_error_paths():
 
 
 def test_scans_check_their_arguments_before_classifying():
-    # a torsion-free sheaf is refused by classification, so each error
+    # a torsion-free sheaf is refused as not locally free, so each error
     # below shows that the argument was checked first
     tf = example_monad("torsion-free")
     with pytest.raises(ValueError, match="at least one sample"):

@@ -191,15 +191,15 @@ def test_direct_sum_dims_and_whitney():
 
 def test_dualize():
     lf = example_monad("locally-free")
-    d = dualize(lf, classify(lf))
+    d = dualize(lf)
     assert d.dims() == (1, 4, 1)
     assert validate(d).overall
     # double dual is the original
-    dd = dualize(d, classify(d))
+    dd = dualize(d)
     assert dd == lf
     # trivial monad is self-dual
     t = trivial_monad(3)
-    assert dualize(t, classify(t)) == t
+    assert dualize(t) == t
     with pytest.raises(NotLocallyFreeError):
         dualize(example_monad("torsion-free"))
 

@@ -5,6 +5,9 @@ import pytest
 from monadlab import (
     GF,
     QQ,
+    DenseMatrix,
+    LinearFormMatrix,
+    SpecialMonad,
     classify,
     degeneracy_dim,
     direct_sum,
@@ -126,7 +129,7 @@ def test_classify_dual_of_locally_free_is_locally_free():
     M = example_monad("locally-free")
     rep = classify(M)
     assert rep.level == "locally_free"
-    D = dualize(M, rep)
+    D = dualize(M)
     assert classify(D).level == "locally_free"
 
 
@@ -169,21 +172,33 @@ def test_classify_p2_monad():
     assert rep.level == "torsion_free"
 
 
-def test_a_budgeted_verdict_does_not_leak_into_later_calls():
-    # line scans and dualization classify with the default prime when no
-    # classification is passed; an earlier call's prime must not count
+def test_the_method_names_the_modulus_of_its_proofs():
+    # a rank over Q is proven mod 32003, a rank over F_p mod p; a verdict
+    # over F_p does not leak into later calls over Q
     M = random_monad(2, 6, 2, seed=1)
-    assert classify(M, prime=3).degeneracy.method["prime"] == 3
+    assert classify(to_prime_field(M, 101)).degeneracy.method["prime"] == 101
     assert classify(M).degeneracy.method["prime"] == 32003
     assert jumping_scan(M, 101, 20).samples == 20
     assert dualize(M).dims() == (2, 6, 2)
 
 
-def test_a_bad_certificate_prime_falls_back_to_the_rank_over_q():
-    # mod 3 the left map of this monad drops rank on a surface; over Q it
-    # is injective at every point, and the rank over Q proves it
+def _column_times(M, c):
+    """M with column 0 of alpha multiplied by c: an isomorphic monad."""
+    coeffs = [DenseMatrix(QQ, M.w, M.v, [[c * row[0]] + row[1:] for row in m.data])
+              for m in M.alpha.coeffs]
+    return SpecialMonad(M.ambient_n, LinearFormMatrix(QQ, M.w, M.v, M.ambient_n + 1, coeffs),
+                        M.beta)
+
+
+def test_a_short_reduction_falls_back_to_the_rank_over_q():
+    # mod 32003 column 0 of the left map vanishes, so its rank falls short
+    # everywhere; over Q it is injective at every point, and the rank over
+    # Q proves it
     M = random_monad(2, 6, 2, seed=1)
-    rep = classify(M, prime=3)
+    assert classify(M).degeneracy.method["over"] == "Fp:32003"
+    M = _column_times(M, 32003)
+    assert validate(M).overall
+    rep = classify(M)
     assert rep.display == "LocallyFree (exact)"
     assert rep.degeneracy.method["over"] == "Q"
 
@@ -243,8 +258,8 @@ def test_a_line_inside_a_section_is_counted_with_its_hyperplane():
     # H_0 = {x = 0}: that section is a curve, the next a point
     from monadlab.pointwise import _meets, _section
     T = direct_sum(example_monad("torsion-free"), example_monad("torsion-free")).alpha
-    assert _meets(_section(T, 0), 1, 32003, []) is True
-    assert _meets(_section(T, 1), 1, 32003, []) is False
+    assert _meets(_section(T, 0), 1, []) is True
+    assert _meets(_section(T, 1), 1, []) is False
 
 
 def test_a_curve_over_a_small_prime_field_is_refused():
@@ -273,7 +288,7 @@ def test_the_slice_proof_cap_refuses_before_any_slice_proof(monkeypatch):
         raise AssertionError("a slice proof was taken")
     whole = []
 
-    def onto_once(P, prime):
+    def onto_once(P):
         if whole:
             no_work()
         whole.append(P)
@@ -282,7 +297,7 @@ def test_the_slice_proof_cap_refuses_before_any_slice_proof(monkeypatch):
     monkeypatch.setattr(exactlin, "_echelon", no_work)
     monkeypatch.setattr(pointwise, "onto_everywhere", onto_once)
     monkeypatch.setattr(pointwise, "generically_injective",
-                        lambda P, prime: RankProof(True, 1, 1, (1, 1), "Q"))
+                        lambda P: RankProof(True, 1, 1, (1, 1), "Q"))
 
     def diagonal(n, r):
         return forms_matrix(QQ, n + 1, [["x" if i == j else "0" for j in range(r)]

@@ -110,7 +110,7 @@ def test_splitting_type_iterates_its_parts():
 def test_keyword_and_default_constructions():
     inv = ChernData(rank=2, c1=0, ch2=Fraction(-1), c2=1)
     assert (inv.ch3, inv.c3) == (None, None)
-    check = CheckResult("composition", True, "exact")
+    check = CheckResult("composition", True)
     assert check.to_json_obj() == {"name": "composition", "passed": True,
                                    "confidence": "exact", "detail": "", "witness": None}
     report = ValidationReport(check, check, check, False)
