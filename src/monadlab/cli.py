@@ -208,7 +208,7 @@ def _cmd_admissible(args) -> int:
 
 def _cmd_stability(args) -> int:
     M = _load_monad(args.monad)
-    report = cohomology.stability_report(M, pointwise.classify(M))
+    report = cohomology.stability_report(M)
     _emit(_dump(report.to_json_obj()), args.out)
     return EXIT_OK
 

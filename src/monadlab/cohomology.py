@@ -75,9 +75,11 @@ from __future__ import annotations
 
 from math import comb
 
+from ._record import Record
 from .errors import MonadLabError
 from .exactlin import Certificate, LinearFormMatrix, certify, monomial_count, mult_map
 from .monad import SpecialMonad, _check_alpha_injective, invariants
+from .pointwise import classify
 
 DEFAULT_WINDOW = (-6, 2)
 MAX_TWISTS = 10 ** 4
@@ -157,15 +159,10 @@ def _twist_column(M: SpecialMonad, k: int, cert: Certificate) -> tuple[int, ...]
     return out
 
 
-class CohomologyTable:
+class CohomologyTable(Record):
     """h^p(E(k)) over a twist window; rows indexed by p, columns by k."""
 
     __slots__ = ("ambient_n", "k_min", "k_max", "rows")
-    def __init__(self, ambient_n: int, k_min: int, k_max: int, rows: list[list[int]]):
-        self.ambient_n = ambient_n
-        self.k_min = k_min
-        self.k_max = k_max
-        self.rows = rows
 
     def entry(self, p: int, k: int) -> int:
         if not (self.k_min <= k <= self.k_max and 0 <= p <= self.ambient_n):
@@ -224,6 +221,15 @@ def cohomology_table(M: SpecialMonad, k_min: int, k_max: int) -> CohomologyTable
         raise ValueError("empty twist window")
     if k_max - k_min + 1 > MAX_TWISTS:
         raise ValueError(f"twist window [{k_min}, {k_max}] exceeds the cap {MAX_TWISTS}")
+    cert = _certified(M, k_min)
+    cols = [_twist_column(M, k, cert) for k in range(k_min, k_max + 1)]
+    rows = [[col[p] for col in cols] for p in range(M.ambient_n + 1)]
+    return CohomologyTable(M.ambient_n, k_min, k_max, rows)
+
+
+def _certified(M: SpecialMonad, k_min: int) -> Certificate:
+    """M's exactlin.certify, for twist columns from k_min on; the caps and
+    refusals of cohomology_table are checked here, in its order."""
     n = M.ambient_n
     S = lambda d: monomial_count(n + 1, d)
     # onto_everywhere(P) eliminates mult_map(P, b-1), b = P.nrows: b|S_b| x a|S_{b-1}|
@@ -237,9 +243,7 @@ def cohomology_table(M: SpecialMonad, k_min: int, k_max: int) -> CohomologyTable
         _under_cap(f"twist {k_min}", M.v * S(j + 1) * M.w * S(j))
         if not _check_alpha_injective(M).passed:
             raise MonadLabError("left map is not injective; not a monad")
-    cols = [_twist_column(M, k, cert) for k in range(k_min, k_max + 1)]
-    rows = [[col[p] for col in cols] for p in range(n + 1)]
-    return CohomologyTable(n, k_min, k_max, rows)
+    return cert
 
 
 def _under_cap(what: str, cells: int) -> None:
@@ -272,14 +276,9 @@ def _vanishing_demanded(n: int, p: int, k: int) -> bool:
     return p < n - 1 and p + k <= -1
 
 
-class AdmissibilityReport:
+class AdmissibilityReport(Record):
+    # violations: (p, k) with nonzero h where 0 demanded
     __slots__ = ("ambient_n", "k_min", "k_max", "violations")
-    def __init__(self, ambient_n: int, k_min: int, k_max: int,
-                 violations: list[tuple[int, int]]):
-        self.ambient_n = ambient_n
-        self.k_min = k_min
-        self.k_max = k_max
-        self.violations = violations     # (p, k) with nonzero h where 0 demanded
 
     @property
     def passed(self) -> bool:
@@ -330,71 +329,65 @@ def admissibility_check(M: SpecialMonad, window: tuple[int, int] = DEFAULT_WINDO
 # stability
 
 
-class StabilityReport:
+class StabilityReport(Record):
+    # semistable: "yes" | "inconclusive"; stable: "yes" | "no" | "inconclusive"
     __slots__ = ("rank", "h0", "h0_dual", "semistable", "stable", "criterion", "notes")
-    def __init__(self, rank: int, h0: int, h0_dual: int | None, semistable: str,
-                 stable: str, criterion: str, notes: list[str] | None = None):
-        self.rank = rank
-        self.h0 = h0
-        self.h0_dual = h0_dual
-        self.semistable = semistable     # "yes" | "inconclusive"
-        self.stable = stable             # "yes" | "no" | "inconclusive"
-        self.criterion = criterion
-        self.notes = [] if notes is None else notes
+    defaults = {"notes": list}
 
     def to_json_obj(self):
         return {name: getattr(self, name) for name in self.__slots__}
 
 
-def stability_report(M: SpecialMonad, classification) -> StabilityReport:
+def stability_report(M: SpecialMonad, classification=None) -> StabilityReport:
     """Slope-stability verdicts from global-section vanishing.
 
-    Rank 2 torsion-free and rank 3 reflexive sheaves with c1 = 0 are
+    Rank 2 torsion-free and rank 3 reflexive sheaves with c1 = 0 on P3 are
     semistable; stability is equivalent to the vanishing of H^0(E) (and of
     H^0(E*) in rank 3, read from E's own table by Serre duality, and only
     when H^0(E) = 0).  Outside those hypotheses the verdicts stay
     inconclusive and the section counts are simply reported.
+
+    The monad is certified once, with cohomology_table's caps and
+    refusals, and h^0(E) and h^0(E*) are columns 0 and -4 under that one
+    certificate.  Its A^T proof says whether E is locally free; only a
+    rank 2 or 3 sheaf with c1 = 0 on P3 that is not is classified
+    (pointwise.classify), unless its classification is passed in.
     """
     inv = invariants(M)
-    h0 = twist_cohomology(M, 0)[0]
-    notes: list[str] = []
-    level = classification.level if classification is not None else None
-
-    applicable = (M.ambient_n == 3 and inv.c1 == 0)
-    if not applicable:
-        notes.append("criteria cover c1 = 0 sheaves on P3 only")
+    # column -4's a*_0 (4v x w) is no larger than the alpha^T proof, so the
+    # caps checked for column 0 cover it
+    cert = _certified(M, 0)
+    h0 = _twist_column(M, 0, cert)[0]
+    if not (M.ambient_n == 3 and inv.c1 == 0):
         return StabilityReport(inv.rank, h0, None, "inconclusive", "inconclusive",
-                               "none", notes)
+                               "none", ["criteria cover c1 = 0 sheaves on P3 only"])
+    level = None
+    if inv.rank in (2, 3):
+        level = ("locally_free" if cert.left
+                 else (classification or classify(M)).level)
 
     if inv.rank == 2 and level in ("torsion_free", "reflexive", "locally_free"):
         stable = "yes" if h0 == 0 else "no"
         return StabilityReport(inv.rank, h0, None, "yes", stable,
-                               "rank 2 torsion-free: semistable; stable iff h0 = 0",
-                               notes)
+                               "rank 2 torsion-free: semistable; stable iff h0 = 0")
     if inv.rank == 3 and level in ("reflexive", "locally_free"):
         criterion = "rank 3 reflexive: semistable; stable iff h0 = h0(dual) = 0"
         if h0 != 0:
-            return StabilityReport(inv.rank, h0, None, "yes", "no", criterion, notes)
-        h0_dual = twist_cohomology(M, -4)[3]      # Serre duality: h^0(E^v) = h^3(E(-4))
+            return StabilityReport(inv.rank, h0, None, "yes", "no", criterion)
+        h0_dual = _twist_column(M, -4, cert)[3]   # Serre duality: h^0(E^v) = h^3(E(-4))
         stable = "yes" if h0_dual == 0 else "no"
-        return StabilityReport(inv.rank, h0, h0_dual, "yes", stable, criterion, notes)
-
-    notes.append("no criterion applies at this rank/regularity")
+        return StabilityReport(inv.rank, h0, h0_dual, "yes", stable, criterion)
     return StabilityReport(inv.rank, h0, None, "inconclusive", "inconclusive",
-                           "none", notes)
+                           "none", ["no criterion applies at this rank/regularity"])
 
 
 # ---------------------------------------------------------------------------
 # dual vanishing
 
 
-class DualVanishingReport:
+class DualVanishingReport(Record):
+    # values: k -> h^0(E*(k))
     __slots__ = ("k_min", "k_max", "values", "violations")
-    def __init__(self, k_min: int, k_max: int, values: dict[int, int], violations: list[int]):
-        self.k_min = k_min
-        self.k_max = k_max
-        self.values = values             # k -> h^0(E*(k))
-        self.violations = violations
 
     @property
     def passed(self) -> bool:

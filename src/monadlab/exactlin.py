@@ -31,6 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
 
+from ._record import Record
 from .errors import MonadDecodeError, MonadLabError, ShapeMismatchError
 
 # ---------------------------------------------------------------------------
@@ -442,14 +443,10 @@ def monomial_count(m: int, d: int) -> int:
     return comb(d + m - 1, m - 1) if d >= 0 else 0
 
 
-class MonomialBasis:
+class MonomialBasis(Record):
     """Ordered monomial basis of the degree-d piece in m variables; immutable."""
 
     __slots__ = ("m", "d", "exponents")
-    def __init__(self, m: int, d: int, exponents: tuple[tuple[int, ...], ...]):
-        self.m = m
-        self.d = d
-        self.exponents = exponents
 
     def __len__(self):
         return len(self.exponents)
@@ -603,16 +600,13 @@ def mult_map(L: LinearFormMatrix, d: int) -> DenseMatrix:
     return DenseMatrix(L.field, nrows, ncols, data)
 
 
-class RankProof:
+class RankProof(Record):
     """The one rank that decides onto_everywhere or generically_injective; immutable."""
 
+    # full: the rank reaches the target; target: the full rank, rows of an
+    # onto map, columns of an injective one; over: field of the deciding
+    # rank, "Q" or "Fp:<p>"
     __slots__ = ("full", "rank", "target", "shape", "over")
-    def __init__(self, full: bool, rank: int, target: int, shape: tuple[int, int], over: str):
-        self.full = full         # the rank reaches the target
-        self.rank = rank
-        self.target = target     # the full rank: rows of an onto map, columns of an injective one
-        self.shape = shape
-        self.over = over         # field of the deciding rank: "Q" or "Fp:<p>"
 
     def __str__(self):
         rel = "=" if self.full else "<"
@@ -714,13 +708,12 @@ def compose_check(B: LinearFormMatrix, A: LinearFormMatrix) -> bool:
     return mult_map(B, 1).matmul(mult_map(A, 0)).is_zero()
 
 
-class Certificate:
+class Certificate(Record):
     """The onto_everywhere verdicts of a complex A, B with B*A = 0; immutable."""
 
+    # left: A^T onto at every point, that is A injective at every point;
+    # right: B onto at every point
     __slots__ = ("left", "right")
-    def __init__(self, left: bool, right: bool):
-        self.left = left         # A^T onto at every point: A injective at every point
-        self.right = right       # B onto at every point
 
     def __eq__(self, other):
         return isinstance(other, Certificate) and (self.left, self.right) == (other.left, other.right)
@@ -740,9 +733,17 @@ class Certificate:
 def certify(A: LinearFormMatrix, B: LinearFormMatrix) -> Certificate:
     """Check B*A = 0 and take both onto_everywhere proofs, for any number
     of variables; raises MonadLabError when the composite does not vanish."""
+    return _certify(A, B, None)
+
+
+def _certify(A: LinearFormMatrix, B: LinearFormMatrix, left: bool | None) -> Certificate:
+    """certify, reusing the verdict `left` of the A^T proof when the caller
+    has taken it; the composite is checked first either way."""
     if not compose_check(B, A):
         raise MonadLabError("composite does not vanish; not a monad")
-    return Certificate(onto_everywhere(A.transpose()).full, onto_everywhere(B).full)
+    if left is None:
+        left = onto_everywhere(A.transpose()).full
+    return Certificate(left, onto_everywhere(B).full)
 
 
 # ---------------------------------------------------------------------------

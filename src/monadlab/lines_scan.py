@@ -14,7 +14,9 @@ beta_i for the coefficient matrices of x_i.
 
 - The monad is certified once (exactlin.certify), or refused: the
   composite beta alpha vanishes iff beta_i alpha_i = 0 for every i and
-  beta_i alpha_j + beta_j alpha_i = 0 for every i < j.
+  beta_i alpha_j + beta_j alpha_i = 0 for every i < j.  When the scan's
+  local-freeness check has taken alpha^T's proof on this same monad, the
+  certificate reuses its verdict.
 - The certificate's two proofs say that beta is onto at every point of
   P^n, and alpha^T too, that is alpha is injective at every point.  Both
   hold over the algebraic closure, so they prove every line clean: no line
@@ -24,7 +26,9 @@ beta_i for the coefficient matrices of x_i.
   restricted and checked by pencil.line_status: a line where either map
   drops rank somewhere is counted as degenerate, so a prime where the
   reduction is not a monad at some points only loses the lines through
-  those points.
+  those points.  The composite vanishes on every line with the monad's,
+  so such a line takes its pencil's two onto_everywhere proofs and no
+  composite check.
 - When c1 = 0 (v = v'), a clean line L through the points p0, p1 restricts
   to a monad on P1 whose one differential at twist -1 is
   J(L) = beta(p1) alpha(p0) (cohomology.complex_cohomology), so
@@ -62,9 +66,10 @@ import random
 from itertools import chain, combinations, count, islice
 from operator import mul
 
+from ._record import Record
 from ._seeds import seed_of_text
 from .errors import MonadLabError, NotLocallyFreeError
-from .exactlin import GF, QQ, DenseMatrix, PrimeField, _echelon, certify
+from .exactlin import GF, QQ, DenseMatrix, PrimeField, _certify, _echelon
 from .monad import COEFF_BOUND, SpecialMonad, invariants, require_locally_free, to_prime_field
 from .pencil import Line, check_line, line_status, restrict, splitting_type
 
@@ -121,14 +126,18 @@ def sample_line(seed: int, index: int, field, ambient_n: int = 3) -> Line:
     return Line(field, points, minors)
 
 
-def _require_locally_free(M: SpecialMonad, classification):
+def _require_locally_free(M: SpecialMonad, classification) -> bool | None:
     """Refuse a sheaf that is not locally free: by its classification when
-    one is given, else by the one rank of monad.require_locally_free."""
+    one is given, else by the one rank of monad.require_locally_free.  That
+    rank is M's alpha^T proof, so its verdict, True, is returned for M's
+    certificate to reuse; None when the classification decided."""
     if classification is None:
         require_locally_free(M, "line scans")
-    elif classification.level != "locally_free":
+        return True
+    if classification.level != "locally_free":
         raise NotLocallyFreeError(f"line scans require a locally-free sheaf; "
                                   f"classification is {classification.level}")
+    return None
 
 
 def _scan_field(M: SpecialMonad, prime: int) -> PrimeField:
@@ -148,17 +157,18 @@ def _check_samples(samples: int):
 class _ScanContext:
     """The per-scan part of splitting lines of one monad M (module docstring).
 
-    split(line) returns (status, splitting parts or None) for a line of M;
-    split_drawn returns them, and the Line it restricted, for a line of the
-    scan's stream.
+    split_drawn returns (status, splitting parts or None) and the Line it
+    restricted, for a line of the scan's stream.  left is M's alpha^T
+    verdict when a local-freeness check has taken that proof, so the
+    certificate does not take it again.
     """
 
     __slots__ = ("M", "rank", "certificate", "jump_cells")
 
-    def __init__(self, M: SpecialMonad):
+    def __init__(self, M: SpecialMonad, left: bool | None = None):
         self.M = M
         self.rank = M.w - M.v - M.v_prime
-        self.certificate = certify(M.alpha, M.beta)
+        self.certificate = _certify(M.alpha, M.beta, left)
         # jump_cells[r][c] lists entry (r, c) of beta_j alpha_i, i < j in the
         # order of Line.minors, so J(L)[r][c] is its dot product with them
         self.jump_cells = None
@@ -177,10 +187,6 @@ class _ScanContext:
             return len(_echelon(f.reduce(J), v, f.p)) < v
         return DenseMatrix(f, v, v, J).rank() < v
 
-    def split(self, line: Line):
-        check_line(self.M, line)
-        return self.split_drawn(line.points, line.minors, line)[:2]
-
     def split_drawn(self, points, minors, line: Line | None = None):
         """(status, parts, line) of a line of M's field and space, given by
         its points and minors (_draws).
@@ -191,8 +197,10 @@ class _ScanContext:
         """
         M, cert = self.M, self.certificate
         if not cert.clean:
+            # the scan has checked M's composite, so the line takes only
+            # its two onto_everywhere proofs (pencil.restrict)
             line = line or Line(M.field, points, minors)
-            pc = restrict(M, line)
+            pc = restrict(M, line, cert)
             if not line_status(pc).clean:
                 return ("degenerate", None, line)
         if self.jump_cells is not None and not self._jumps(minors):
@@ -203,14 +211,9 @@ class _ScanContext:
         return ("clean", splitting_type(pc).parts, line)
 
 
-class LineOutcome:
+class LineOutcome(Record):
+    # status: "clean" | "degenerate"
     __slots__ = ("index", "line", "status", "splitting")
-    def __init__(self, index: int, line: Line, status: str,
-                 splitting: tuple[int, ...] | None):
-        self.index = index
-        self.line = line
-        self.status = status             # "clean" | "degenerate"
-        self.splitting = splitting
 
     @property
     def jumping(self) -> bool | None:
@@ -228,30 +231,17 @@ class LineOutcome:
         }
 
 
-class ScanReport:
+class ScanReport(Record):
     __slots__ = ("monad_id", "field_name", "prime", "samples", "seed", "jumping",
                  "degenerate", "spectrum", "witnesses", "outcomes")
-    def __init__(self, monad_id: str, field_name: str, prime: int | None, samples: int,
-                 seed: int, jumping: int, degenerate: int,
-                 spectrum: dict[tuple[int, ...], int], witnesses: list[Line],
-                 outcomes: list[LineOutcome] | None = None):
-        self.monad_id = monad_id
-        self.field_name = field_name
-        self.prime = prime
-        self.samples = samples
-        self.seed = seed
-        self.jumping = jumping
-        self.degenerate = degenerate
-        self.spectrum = spectrum
-        self.witnesses = witnesses
-        self.outcomes = [] if outcomes is None else outcomes
+    defaults = {"outcomes": list}
 
     @property
     def fraction(self) -> float:
         return self.jumping / self.samples
 
-    def to_json_obj(self, include_lines: bool = False):
-        obj = {
+    def to_json_obj(self):
+        return {
             "monad_id": self.monad_id,
             "field": self.field_name,
             "prime": self.prime,
@@ -263,9 +253,6 @@ class ScanReport:
             "spectrum": {str(list(k)): c for k, c in sorted(self.spectrum.items())},
             "witnesses": [l.to_json_obj() for l in self.witnesses],
         }
-        if include_lines:
-            obj["lines"] = [o.to_json_obj() for o in self.outcomes]
-        return obj
 
 
 def jumping_scan(M: SpecialMonad, prime: int, samples: int, seed: int = 0,
@@ -278,16 +265,18 @@ def jumping_scan(M: SpecialMonad, prime: int, samples: int, seed: int = 0,
     """
     field = _scan_field(M, prime)
     _check_samples(samples)
-    _require_locally_free(M, classification)
+    left = _require_locally_free(M, classification)
     if invariants(M).c1 != 0:
         raise ValueError("jumping scans are defined for c1 = 0 sheaves")
-    return _scan(M, field, samples, seed, keep_lines)
+    return _scan(M, field, samples, seed, keep_lines, left)
 
 
 def _scan(M: SpecialMonad, field: PrimeField, samples: int, seed: int,
-          keep_lines: bool = False) -> ScanReport:
-    """jumping_scan of M over `field`, its conditions already checked."""
-    split = _ScanContext(to_prime_field(M, field.p)).split_drawn
+          keep_lines: bool = False, left: bool | None = None) -> ScanReport:
+    """jumping_scan of M over `field`, its conditions already checked; left
+    is M's alpha^T verdict, reused when M already lives over `field`."""
+    Mp = to_prime_field(M, field.p)
+    split = _ScanContext(Mp, left if Mp is M else None).split_drawn
     jumping = 0
     degenerate = 0
     spectrum: dict[tuple[int, ...], int] = {}
@@ -316,21 +305,10 @@ def _scan(M: SpecialMonad, field: PrimeField, samples: int, seed: int,
 # trivial splitting type
 
 
-class TrivialSplittingReport:
+class TrivialSplittingReport(Record):
     __slots__ = ("monad_id", "field_name", "samples", "seed", "certified", "witness",
                  "spectrum", "degenerate", "note")
-    def __init__(self, monad_id: str, field_name: str, samples: int, seed: int,
-                 certified: bool, witness: Line | None,
-                 spectrum: dict[tuple[int, ...], int], degenerate: int, note: str = ""):
-        self.monad_id = monad_id
-        self.field_name = field_name
-        self.samples = samples
-        self.seed = seed
-        self.certified = certified
-        self.witness = witness
-        self.spectrum = spectrum
-        self.degenerate = degenerate
-        self.note = note
+    defaults = {"note": ""}
 
     def to_json_obj(self):
         return {
@@ -380,16 +358,9 @@ def trivial_splitting_test(M: SpecialMonad, samples: int = 10, seed: int = 0) ->
 # codimension evidence
 
 
-class CodimEvidenceReport:
+class CodimEvidenceReport(Record):
+    # rows, one per prime: prime, samples, jumping, fraction
     __slots__ = ("monad_id", "rows", "exponent", "exponent_stderr", "tolerance", "verdict")
-    def __init__(self, monad_id: str, rows: list[dict], exponent: float | None,
-                 exponent_stderr: float | None, tolerance: float, verdict: str):
-        self.monad_id = monad_id
-        self.rows = rows                 # per-prime: prime, samples, jumping, fraction
-        self.exponent = exponent
-        self.exponent_stderr = exponent_stderr
-        self.tolerance = tolerance
-        self.verdict = verdict
 
     def to_json_obj(self):
         return {
@@ -471,21 +442,9 @@ def codim_evidence(M: SpecialMonad, primes, samples: int, seed: int = 0,
 # uniformity
 
 
-class UniformityReport:
+class UniformityReport(Record):
     __slots__ = ("monad_id", "field_name", "samples", "seed", "refuted", "witness",
                  "spectrum", "degenerate", "notes")
-    def __init__(self, monad_id: str, field_name: str, samples: int, seed: int,
-                 refuted: bool, witness: Line | None,
-                 spectrum: dict[tuple[int, ...], int], degenerate: int, notes: list[str]):
-        self.monad_id = monad_id
-        self.field_name = field_name
-        self.samples = samples
-        self.seed = seed
-        self.refuted = refuted
-        self.witness = witness
-        self.spectrum = spectrum
-        self.degenerate = degenerate
-        self.notes = notes
 
     def to_json_obj(self):
         return {
@@ -511,7 +470,7 @@ def uniformity_evidence(M: SpecialMonad, samples: int = 50, seed: int = 0,
     jumping lines must exist even if sampling missed them.
     """
     _check_samples(samples)
-    _require_locally_free(M, classification)
+    left = _require_locally_free(M, classification)
     inv = invariants(M)
     spectrum: dict[tuple[int, ...], int] = {}
     degenerate = 0
@@ -520,7 +479,7 @@ def uniformity_evidence(M: SpecialMonad, samples: int = 50, seed: int = 0,
     extra = list(extra_lines)
     for line in extra:
         check_line(M, line)
-    split = _ScanContext(M).split_drawn
+    split = _ScanContext(M, left).split_drawn
     given = ((line.points, line.minors, line) for line in extra)
     drawn = ((points, minors, None) for points, minors
              in islice(_draws(seed, M.field, M.ambient_n), samples))

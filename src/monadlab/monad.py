@@ -25,6 +25,7 @@ import json
 from fractions import Fraction
 
 from . import exactlin
+from ._record import Record
 from ._seeds import rng_for
 from .errors import (
     MonadDecodeError,
@@ -152,19 +153,13 @@ def trivial_monad(w: int, ambient_n: int = 3, field=QQ) -> SpecialMonad:
 # Chern invariants
 
 
-class ChernData:
+class ChernData(Record):
     """Rank and Chern data of the cohomology sheaf on P2 or P3, determined by
     (v, w, v'); immutable."""
 
+    # ch3 and c3 are None on P2; invariants refuses n > 3
     __slots__ = ("rank", "c1", "ch2", "c2", "ch3", "c3")
-    def __init__(self, rank: int, c1: int, ch2: Fraction, c2: int,
-                 ch3: Fraction | None = None, c3: int | None = None):
-        self.rank = rank
-        self.c1 = c1
-        self.ch2 = ch2
-        self.c2 = c2
-        self.ch3 = ch3           # None on P2; invariants refuses n > 3
-        self.c3 = c3
+    defaults = {"ch3": None, "c3": None}
 
     def to_json_obj(self):
         return {
@@ -202,30 +197,19 @@ def invariants(M: SpecialMonad) -> ChernData:
 # validation
 
 
-class CheckResult:
+class CheckResult(Record):
     __slots__ = ("name", "passed", "detail", "witness")
+    defaults = {"detail": "", "witness": None}
     confidence = "exact"                 # every check is decided exactly
-    def __init__(self, name: str, passed: bool, detail: str = "",
-                 witness: list[str] | None = None):
-        self.name = name
-        self.passed = passed
-        self.detail = detail
-        self.witness = witness
 
     def to_json_obj(self):
         return {"name": self.name, "passed": self.passed, "confidence": self.confidence,
                 "detail": self.detail, "witness": self.witness}
 
 
-class ValidationReport:
+class ValidationReport(Record):
     __slots__ = ("composition", "beta_surjective", "alpha_injective", "rank_zero", "notes")
-    def __init__(self, composition: CheckResult, beta_surjective: CheckResult,
-                 alpha_injective: CheckResult, rank_zero: bool, notes: list[str] | None = None):
-        self.composition = composition
-        self.beta_surjective = beta_surjective
-        self.alpha_injective = alpha_injective
-        self.rank_zero = rank_zero
-        self.notes = [] if notes is None else notes
+    defaults = {"notes": list}
 
     @property
     def overall(self) -> bool:
@@ -384,7 +368,7 @@ def _random_forms(field, nrows: int, ncols: int, nvars: int, rng) -> LinearFormM
 
 
 def random_monad(v: int, w: int, v_prime: int, seed: int = 0, field=QQ,
-                 ambient_n: int = 3, retries: int = GENERATOR_RETRIES) -> SpecialMonad:
+                 ambient_n: int = 3) -> SpecialMonad:
     """Seeded random monad with the given dimensions.
 
     Draws one map with small random integer coefficients and the other
@@ -408,7 +392,7 @@ def random_monad(v: int, w: int, v_prime: int, seed: int = 0, field=QQ,
             f"no special monad with (v, w, v') = ({v}, {w}, {v_prime})"
         )
     nvars = ambient_n + 1
-    for attempt in range(retries):
+    for attempt in range(GENERATOR_RETRIES):
         rng = rng_for("random-monad", seed, v, w, v_prime, field.name, attempt)
         if v_prime == 0 or v <= v_prime:
             alpha = _random_forms(field, w, v, nvars, rng)
@@ -424,7 +408,7 @@ def random_monad(v: int, w: int, v_prime: int, seed: int = 0, field=QQ,
         if validate(M).overall:
             return M
     raise RetryExhaustedError(
-        f"no valid monad with dims ({v}, {w}, {v_prime}) after {retries} draws"
+        f"no valid monad with dims ({v}, {w}, {v_prime}) after {GENERATOR_RETRIES} draws"
     )
 
 

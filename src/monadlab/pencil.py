@@ -22,13 +22,20 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from ._record import Record
 from .errors import AlphaDegenerateError, ReconstructionError, ShapeMismatchError
 from .cohomology import complex_cohomology
-from .exactlin import Certificate, LinearFormMatrix, certify, generically_injective
+from .exactlin import (
+    Certificate,
+    LinearFormMatrix,
+    certify,
+    generically_injective,
+    onto_everywhere,
+)
 from .monad import SpecialMonad
 
 
-class Line:
+class Line(Record):
     """A line in P^n, parametrized by two spanning points (rows); immutable.
 
     minors holds the 2x2 minors pi_ij = a_i b_j - a_j b_i, i < j in
@@ -38,10 +45,6 @@ class Line:
     """
 
     __slots__ = ("field", "points", "minors")
-    def __init__(self, field, points: tuple[tuple, ...], minors: tuple):
-        self.field = field
-        self.points = points
-        self.minors = minors
 
     def __eq__(self, other):
         return isinstance(other, Line) and (self.field, self.points) == (other.field, other.points)
@@ -120,22 +123,25 @@ def restrict(M: SpecialMonad, line: Line,
     """Restrict a monad to a line by evaluating the forms at the two points.
 
     certificate is M's exactlin.certify, if the caller has it.  A clean one
-    holds on every line, so the pencil takes it; otherwise the pencil
+    holds on every line, so the pencil takes it.  Any other still shows
+    that M's composite vanishes, and with it the pencil's, so the pencil
+    takes only its own two onto_everywhere proofs.  Without one the pencil
     certifies itself.
     """
     check_line(M, line)
     p0, p1 = line.points
     A = LinearFormMatrix(M.field, M.w, M.v, 2, [M.alpha.at(p0), M.alpha.at(p1)])
     B = LinearFormMatrix(M.field, M.v_prime, M.w, 2, [M.beta.at(p0), M.beta.at(p1)])
-    return PencilComplex(A, B, certificate if certificate and certificate.clean else None)
+    if certificate and not certificate.clean:
+        certificate = Certificate(onto_everywhere(A.transpose()).full,
+                                  onto_everywhere(B).full)
+    return PencilComplex(A, B, certificate)
 
 
-class LineStatus:
+class LineStatus(Record):
+    # degenerate_map: "left" or "right", when not clean
     __slots__ = ("clean", "note", "degenerate_map")
-    def __init__(self, clean: bool, note: str = "", degenerate_map: str = ""):
-        self.clean = clean
-        self.note = note
-        self.degenerate_map = degenerate_map     # "left" or "right", when not clean
+    defaults = {"note": "", "degenerate_map": ""}
 
     def to_json_obj(self):
         return {"clean": self.clean, "note": self.note}
@@ -189,7 +195,7 @@ def dual_pencil(pc: PencilComplex) -> PencilComplex:
 # splitting type
 
 
-class SplittingType:
+class SplittingType(Record):
     """Non-increasing degrees of the line-bundle summands on the line; immutable.
 
     dims maps each twist of the measured window to its (h^0, h^1); it is
@@ -197,9 +203,7 @@ class SplittingType:
     """
 
     __slots__ = ("parts", "dims")
-    def __init__(self, parts: tuple[int, ...], dims: dict | None = None):
-        self.parts = parts
-        self.dims = {} if dims is None else dims
+    defaults = {"dims": dict}
 
     @property
     def is_trivial(self) -> bool:

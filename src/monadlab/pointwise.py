@@ -64,6 +64,7 @@ proofs at worst, r = 5 would take 4252) and on P2 for r <= 31 (1923).
 from __future__ import annotations
 
 from . import monad as monad_mod
+from ._record import Record
 from .exactlin import (
     DEFAULT_PRIME,
     LinearFormMatrix,
@@ -85,16 +86,10 @@ _DISPLAY = {
 }
 
 
-class DegeneracyResult:
+class DegeneracyResult(Record):
+    # kind: "empty" | "dim"
     __slots__ = ("kind", "dim", "method", "witness", "locus_basis", "note")
-    def __init__(self, kind: str, dim: int | None, method: dict, witness: list[str] | None = None,
-                 locus_basis: list[list[str]] | None = None, note: str = ""):
-        self.kind = kind         # "empty" | "dim"
-        self.dim = dim
-        self.method = method
-        self.witness = witness
-        self.locus_basis = locus_basis
-        self.note = note
+    defaults = {"witness": None, "locus_basis": None, "note": ""}
 
     def to_json_obj(self):
         return {name: getattr(self, name) for name in self.__slots__}
@@ -208,13 +203,11 @@ def _method(kind: str, prime: int, proof, **extra) -> dict:
             "rank": proof.rank, "over": proof.over}
 
 
-class ClassificationReport:
+class ClassificationReport(Record):
+    # level: one of LEVELS
     __slots__ = ("level", "degeneracy", "warnings")
+    defaults = {"warnings": list}
     confidence = "exact"                 # every degeneracy dimension is proven
-    def __init__(self, level: str, degeneracy: DegeneracyResult, warnings: list[str] | None = None):
-        self.level = level               # one of LEVELS
-        self.degeneracy = degeneracy
-        self.warnings = [] if warnings is None else warnings
 
     @property
     def display(self) -> str:

@@ -177,3 +177,41 @@ def test_the_public_api_keeps_rank_and_kernel_basis():
     assert m.matmul(k).is_zero()
     assert rank(DenseMatrix.zeros(GF(5), 2, 3)) == 0
     assert kernel_basis(DenseMatrix.identity(GF(5), 3)).ncols == 0
+
+
+def test_stability_certifies_the_monad_once(monkeypatch):
+    from monadlab import pointwise, stability_report
+    from test_cohomology import _reflexive_rank3
+    certs = _count(monkeypatch, "certify")
+    rep = stability_report(_reflexive_rank3())
+    # h0 and h0(dual) are columns 0 and -4 of one certificate
+    assert (rep.stable, rep.h0, rep.h0_dual) == ("yes", 0, 0)
+    assert len(certs) == 1
+    # a locally-free sheaf is not classified: the certificate says so
+    def no_classify(L):
+        raise AssertionError("classified")
+    monkeypatch.setattr(pointwise, "degeneracy_dim", no_classify)
+    rep = stability_report(random_monad(2, 6, 2, seed=0))
+    assert (rep.semistable, rep.stable) == ("yes", "yes") and len(certs) == 2
+
+
+def test_a_scan_with_a_bad_reduction_checks_the_composite_once(monkeypatch):
+    # the right map drops rank everywhere mod 7, so every line is restricted
+    bad7 = to_prime_field(random_monad(2, 6, 2, seed=3), 7)
+    composites = _count(monkeypatch, "compose_check")
+    rep = jumping_scan(bad7, 7, 300)
+    assert rep.degenerate == 300
+    assert len(composites) == 1
+
+
+def test_a_scan_takes_the_alpha_proof_once(monkeypatch):
+    from monadlab import uniformity_evidence
+    lf = example_monad("locally-free")
+    proofs = _count(monkeypatch, "onto_everywhere")
+    uniformity_evidence(lf, 5)
+    assert len(proofs) == 2
+    jumping_scan(to_prime_field(lf, 101), 101, 20)
+    assert len(proofs) == 4
+    # over Q the check proves lf, and the certificate its reduction mod 101
+    jumping_scan(lf, 101, 20)
+    assert len(proofs) == 7

@@ -59,7 +59,8 @@ def test_validate_good_and_bad(capsys, tmp_path, lf_path):
     code, out, _ = run(capsys, "validate", lf_path)
     assert code == 0 and "valid monad" in out
 
-    bad = json.loads(open(lf_path).read())
+    with open(lf_path) as fh:
+        bad = json.load(fh)
     # beta = (x y z 0) has the common zero [0:0:0:1]
     bad["beta"] = [
         [["1", "0", "0", "0"]], [["0", "1", "0", "0"]],
@@ -260,6 +261,20 @@ def test_generate_subcommand(capsys, tmp_path):
     assert code == 0
     code, _, err = run(capsys, "generate", "--dims", "2,3,2")
     assert code == 1 and "no special monad" in err
+
+
+def test_unparseable_dims_are_a_usage_error(capsys):
+    for dims in ("1,x,1", "1,4", "1,4,1,0"):
+        code, out, err = run(capsys, "generate", "--dims", dims)
+        assert (code, out) == (2, "")
+        assert err == f"monadlab: bad --dims {dims!r}: expected v,w,v'\n"
+
+
+def test_generate_exits_1_when_every_draw_fails(capsys):
+    # (1, 3, 1) exists on P2 but is never drawn (monad.random_monad)
+    code, out, err = run(capsys, "generate", "--dims", "1,3,1", "--ambient", "2")
+    assert (code, out) == (1, "")
+    assert "no valid monad with dims (1, 3, 1) after 200 draws" in err
 
 
 def test_jumping_scan_deterministic_bytes(capsys, lf_path, tmp_path):
@@ -474,7 +489,8 @@ def test_splitting_with_sampled_line(capsys, lf_path):
 
 
 def test_admissible_on_non_monad_is_a_math_failure(capsys, tmp_path, lf_path):
-    bad = json.loads(open(lf_path).read())
+    with open(lf_path) as fh:
+        bad = json.load(fh)
     bad["beta"] = [
         [["1", "0", "0", "0"]], [["0", "1", "0", "0"]],
         [["0", "0", "1", "0"]], [["0", "0", "0", "0"]],
@@ -567,6 +583,14 @@ def test_points_that_are_not_a_line_of_the_monad_are_usage_errors(capsys, lf_pat
             code, out, err = run(capsys, command, lf_path, "--points", points)
             assert (code, out) == (2, ""), (command, points)
             assert err.startswith(f"monadlab: bad --points {points!r}: ") and why in err
+
+
+def test_a_single_point_is_a_usage_error(capsys, lf_path):
+    for command in ("restrict", "splitting"):
+        code, out, err = run(capsys, command, lf_path, "--points", "1,0,0,0")
+        assert (code, out) == (2, "")
+        assert err == ("monadlab: bad --points '1,0,0,0': "
+                       "expected two points separated by ';'\n")
 
 
 def test_a_point_with_no_residue_is_a_usage_error(capsys, tmp_path):

@@ -142,6 +142,7 @@ CASES = [
     ("stability-r3", "stability {r3}"),
     ("dualize-p5", "dualize {p5}"),
     ("dualize-tf2f5", "dualize {tf2f5}"),
+    ("stability-tf2f5", "stability {tf2f5}"),
 ]
 
 GOLDEN = {
@@ -226,7 +227,7 @@ GOLDEN = {
     'invariants-p5': ('e3b0c44298fc1c14', '75318a1c81c46d2b', 2),
     'classify-p5': ('e3b0c44298fc1c14', '853fc4f591f1f35c', 2),
     'admissible-p5': ('e3b0c44298fc1c14', '5624936db43604d7', 2),
-    'stability-p5': ('e3b0c44298fc1c14', '853fc4f591f1f35c', 2),
+    'stability-p5': ('e3b0c44298fc1c14', '75318a1c81c46d2b', 2),
     'jumping-p5': ('e3b0c44298fc1c14', '75318a1c81c46d2b', 2),
     'validate-n8': ('e3b0c44298fc1c14', '72094a7bf540a66f', 2),
     'validate-f2': ('e3b0c44298fc1c14', '72094a7bf540a66f', 2),
@@ -236,6 +237,7 @@ GOLDEN = {
     'stability-r3': ('8f184b69d21f1c0c', 'e3b0c44298fc1c14', 0),
     'dualize-p5': ('9e51c50cf4fa65f9', 'e3b0c44298fc1c14', 0),
     'dualize-tf2f5': ('e3b0c44298fc1c14', 'a15108bb80ea113d', 1),
+    'stability-tf2f5': ('55e55b27d8a25126', 'e3b0c44298fc1c14', 0),
 }
 
 # Python 3.13's argparse wraps the program's usage line differently

@@ -243,6 +243,32 @@ def test_stability_inconclusive_outside_hypotheses():
     assert rep.semistable == "inconclusive" and rep.stable == "inconclusive"
 
 
+def test_stability_reports_no_criterion_without_classifying(monkeypatch):
+    # tf + tf mod 5 has rank 4, where no criterion applies, so its curve
+    # locus (which F_5 has too few hyperplanes to prove) is never classified
+    from monadlab import pointwise
+    from monadlab.monad import to_prime_field
+
+    def no_classify(L):
+        raise AssertionError("classified")
+    monkeypatch.setattr(pointwise, "degeneracy_dim", no_classify)
+    tf = example_monad("torsion-free")
+    rep = stability_report(to_prime_field(direct_sum(tf, tf), 5))
+    assert rep.to_json_obj() == {
+        "rank": 4, "h0": 0, "h0_dual": None, "semistable": "inconclusive",
+        "stable": "inconclusive", "criterion": "none",
+        "notes": ["no criterion applies at this rank/regularity"]}
+
+
+def test_stability_classifies_a_sheaf_that_is_not_locally_free():
+    # without a classification passed in, the torsion-free example is
+    # classified, and its verdict matches the one with the classification
+    tf = example_monad("torsion-free")
+    assert (stability_report(tf).to_json_obj()
+            == stability_report(tf, classify(tf)).to_json_obj())
+    assert stability_report(tf).criterion.startswith("rank 2 torsion-free")
+
+
 @pytest.mark.parametrize("dims,seed", [(None, None), ((2, 6, 2), 0), ((1, 4, 1), 1),
                                        ((2, 7, 2), 0), ((2, 8, 1), 5)])
 def test_dual_sections_by_serre_duality_match_the_dual_monad(dims, seed):
@@ -276,6 +302,13 @@ def test_dual_vanishing():
     rep = dual_vanishing_check(tf)
     assert list(rep.values.values()) == cohomology_table(tf, -3, 1).rows[3][::-1]
     assert list(rep.values.values()) == [0, 0, 0, 0, 0] and rep.passed
+
+
+def test_dual_vanishing_report_json():
+    # the reflexive example's dual has sections from twist 0 on
+    rep = dual_vanishing_check(example_monad("reflexive"), (-2, 0))
+    assert rep.to_json_obj() == {"window": [-2, 0], "h0_dual": {"-2": 0, "-1": 0, "0": 2},
+                                 "violations": [0], "passed": False}
 
 
 def test_p2_monad_cohomology():

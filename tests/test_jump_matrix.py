@@ -74,7 +74,8 @@ def _reports(M, cls, scans, extra):
         try:
             rep = jumping_scan(M, p, samples, seed=3, classification=cls,
                                keep_lines=True)
-            out[f"scan{p}"] = rep.to_json_obj(include_lines=True)
+            out[f"scan{p}"] = {**rep.to_json_obj(),
+                               "lines": [o.to_json_obj() for o in rep.outcomes]}
         except NotLocallyFreeError as exc:
             out[f"scan{p}"] = str(exc)
     # over Q a sampled line almost never jumps, so few samples suffice there

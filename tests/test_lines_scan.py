@@ -93,6 +93,13 @@ def test_jumping_scan_refuses_non_locally_free():
         jumping_scan(example_monad("torsion-free"), 101, 10)
 
 
+def test_jumping_scan_refuses_a_nonzero_c1():
+    from monadlab import random_monad
+    M = random_monad(2, 8, 1, seed=5)      # locally free, c1 = 1
+    with pytest.raises(ValueError, match="c1 = 0 sheaves"):
+        jumping_scan(M, 101, 10)
+
+
 def test_a_sheaf_with_a_curve_locus_over_a_small_field_is_not_locally_free(monkeypatch):
     # tf + tf degenerates on a line; F_5 has too few hyperplanes to prove
     # that curve, but "locally free" is one rank on any field, so every
@@ -322,10 +329,10 @@ def test_line_splitting_matches_full_reconstruction():
     seen = {"trivial": 0, "jumping": 0}
     for M, p, samples in corpus:
         Mp = to_prime_field(M, p)
-        split = _ScanContext(Mp).split
+        split = _ScanContext(Mp).split_drawn
         for i in range(samples):
             line = sample_line(11, i, GF(p), M.ambient_n)
-            status, parts = split(line)
+            status, parts, _ = split(line.points, line.minors, line)
             pc = restrict(Mp, line)
             assert (status == "clean") == line_status(pc).clean
             if status == "degenerate":
@@ -373,7 +380,8 @@ def test_scan_mod_a_prime_where_beta_degenerates_at_some_points(bad_reduction_mo
     pc = restrict(M5, through)
     st = line_status(pc)
     assert not st.clean and st.degenerate_map == "right"
-    assert _ScanContext(M5).split(through) == ("degenerate", None)
+    assert _ScanContext(M5).split_drawn(through.points, through.minors, through) == (
+        "degenerate", None, through)
     rep = uniformity_evidence(M5, samples=5, extra_lines=[through],
                               classification=cls)
     assert rep.degenerate >= 1

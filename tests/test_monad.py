@@ -11,6 +11,7 @@ from monadlab import (
     NotLocallyFreeError,
     NotRepresentableError,
     QQ,
+    RetryExhaustedError,
     GF,
     LinearFormMatrix,
     SpecialMonad,
@@ -28,6 +29,7 @@ from monadlab import (
     validate,
 )
 from monadlab import classify
+from monadlab.monad import GENERATOR_RETRIES
 
 
 def test_existence_predicate():
@@ -238,6 +240,14 @@ def test_random_monad_over_prime_field():
     M = random_monad(1, 4, 1, seed=1, field=GF(32003))
     assert M.field.name == "Fp:32003"
     assert validate(M).overall
+
+
+def test_random_monad_gives_up_after_its_retries():
+    # (1, 3, 1) exists on P2, but a generic left map leaves every right map
+    # with a common zero, so every draw fails validation
+    assert special_monad_exists(1, 3, 1, ambient_n=2)
+    with pytest.raises(RetryExhaustedError, match=f"after {GENERATOR_RETRIES} draws"):
+        random_monad(1, 3, 1, ambient_n=2)
 
 
 def test_encode_decode_round_trip():

@@ -1,15 +1,19 @@
 """Start-up footprint and the contracts of the record classes.
 
-The records (reports, proofs, lines) are plain __slots__ classes,
-so importing the CLI loads neither dataclasses nor the inspect, ast, dis
-and tokenize modules it pulls in.  These tests pin that, the public names
-of the package, and the equality, iteration and defaults that callers use.
+The records (reports, proofs, lines) are plain __slots__ classes whose
+constructors _record.Record compiles from their slots, so importing the
+CLI loads neither dataclasses nor the inspect, ast, dis and tokenize
+modules it pulls in.  These tests pin that, the public names of the
+package, each record's constructor signature, and the equality,
+iteration and defaults that callers use.
 """
 
 import os
 import subprocess
 import sys
 from fractions import Fraction
+
+import pytest
 
 import monadlab
 from monadlab import (
@@ -132,3 +136,62 @@ def test_keyword_and_default_constructions():
     assert trivial.note == ""
     table = CohomologyTable(3, -1, 0, [[0, 0], [1, 0], [0, 0], [0, 0]])
     assert table.column(-1) == (0, 1, 0, 0) and table.euler(-1) == -1
+
+
+# each record's constructor parameters, in order, with their defaults
+SIGNATURES = {
+    "CohomologyTable": "ambient_n k_min k_max rows",
+    "AdmissibilityReport": "ambient_n k_min k_max violations",
+    "StabilityReport": "rank h0 h0_dual semistable stable criterion notes=None",
+    "DualVanishingReport": "k_min k_max values violations",
+    "ChernData": "rank c1 ch2 c2 ch3=None c3=None",
+    "CheckResult": "name passed detail='' witness=None",
+    "ValidationReport": "composition beta_surjective alpha_injective rank_zero notes=None",
+    "DegeneracyResult": "kind dim method witness=None locus_basis=None note=''",
+    "ClassificationReport": "level degeneracy warnings=None",
+    "LineOutcome": "index line status splitting",
+    "ScanReport": ("monad_id field_name prime samples seed jumping degenerate spectrum "
+                   "witnesses outcomes=None"),
+    "TrivialSplittingReport": ("monad_id field_name samples seed certified witness "
+                               "spectrum degenerate note=''"),
+    "CodimEvidenceReport": "monad_id rows exponent exponent_stderr tolerance verdict",
+    "UniformityReport": ("monad_id field_name samples seed refuted witness spectrum "
+                         "degenerate notes"),
+    "Line": "field points minors",
+    "LineStatus": "clean note='' degenerate_map=''",
+    "SplittingType": "parts dims=None",
+    "RankProof": "full rank target shape over",
+    "Certificate": "left right",
+    "MonomialBasis": "m d exponents",
+}
+
+
+def test_record_constructors_keep_their_signatures():
+    import inspect
+    from monadlab import exactlin, lines_scan, monad as monad_mod, pencil
+    from monadlab._record import Record
+    modules = (monadlab, exactlin, lines_scan, monad_mod, pencil)
+    for name, want in SIGNATURES.items():
+        cls = next(getattr(m, name) for m in modules if hasattr(m, name))
+        assert issubclass(cls, Record), name
+        params = inspect.signature(cls).parameters.values()
+        got = " ".join(p.name if p.default is p.empty else f"{p.name}={p.default!r}"
+                       for p in params)
+        assert got == want, name
+    # a list or dict default is fresh for every instance
+    fresh = [(StabilityReport, 6, "notes"), (ValidationReport, 4, "notes"),
+             (ClassificationReport, 2, "warnings"), (ScanReport, 9, "outcomes"),
+             (SplittingType, 1, "dims")]
+    for cls, given, field in fresh:
+        a, b = cls(*range(given)), cls(*range(given))
+        assert getattr(a, field) == getattr(b, field) and not getattr(a, field)
+        assert getattr(a, field) is not getattr(b, field), cls.__name__
+        assert getattr(cls(*range(given), "kept"), field) == "kept"
+
+
+def test_a_record_refuses_defaults_that_are_not_its_last_fields():
+    from monadlab._record import Record
+    with pytest.raises(KeyError):
+        type("Bad", (Record,), {"__slots__": ("a", "b"), "defaults": {"a": None}})
+    Point = type("Point", (Record,), {"__slots__": ("x", "y"), "defaults": {"y": 0}})
+    assert (Point(1).x, Point(1).y, Point(y=2, x=3).y) == (1, 0, 2)
