@@ -48,6 +48,7 @@ from .exactlin import (
     kernel_basis,
     monomial_basis,
     mult_map,
+    proofs,
     rank,
 )
 from .lines_scan import (

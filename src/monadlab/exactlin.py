@@ -23,10 +23,21 @@ point) and generically_injective (injective as a sheaf map), and certify,
 which checks a complex's composite and takes both onto_everywhere proofs
 once, for every pipeline to read.
 Matrices are dense; the intended scale is a few thousand rows at most.
+
+Inside a proofs() scope, compose_check, onto_everywhere and
+generically_injective each answer a question already asked in the scope
+from its stored verdict.  The key is the question itself: its kind, the
+field, and the shape and every coefficient of each matrix.  A nested
+scope joins the outer one, and without a scope every call proves afresh,
+so no verdict outlives the scope that made it.  Pencils (two variables)
+are never stored: a scan proves a different pencil on each line, and
+storing them would grow with the sample count.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
@@ -600,6 +611,40 @@ def mult_map(L: LinearFormMatrix, d: int) -> DenseMatrix:
     return DenseMatrix(L.field, nrows, ncols, data)
 
 
+# ---------------------------------------------------------------------------
+# proofs, each taken once per scope
+
+_memo = ContextVar("monadlab_proofs")
+
+
+@contextmanager
+def proofs():
+    """Open a scope in which each proof is taken once (module docstring).
+
+    Use it as `with proofs():` or as the decorator `@proofs()`, which
+    opens a scope per call.  Inside an open scope it joins that scope.
+    """
+    token = _memo.set(_memo.get({}))
+    try:
+        yield
+    finally:
+        _memo.reset(token)
+
+
+def _proved(kind: str, prove, *mats: LinearFormMatrix):
+    """prove(), or in an open proofs() scope the verdict stored for the
+    same question: kind and field, and the shape and every coefficient of
+    each matrix.  Pencils (two variables) are always proved."""
+    memo = _memo.get(None)
+    if memo is None or mats[0].nvars == 2:
+        return prove()
+    key = (kind, mats[0].field.name, tuple((L.nrows, L.ncols, L.nvars) for L in mats),
+           tuple(x for L in mats for c in L.coeffs for row in c.data for x in row))
+    if key not in memo:
+        memo[key] = prove()
+    return memo[key]
+
+
 class RankProof(Record):
     """The one rank that decides onto_everywhere or generically_injective; immutable."""
 
@@ -642,8 +687,7 @@ def onto_everywhere(P: LinearFormMatrix) -> RankProof:
     O(-1)^v -> O^w is injective at every point iff its transpose
     O^w -> O(1)^v is onto there, so the same test decides left maps.
     """
-    b = P.nrows
-    return _rank_proof(P, b - 1, b * monomial_count(P.nvars, b))
+    return _proved("onto", lambda: _rank_proof(P, P.nrows - 1, onto=True), P)
 
 
 def generically_injective(P: LinearFormMatrix) -> RankProof:
@@ -666,18 +710,19 @@ def generically_injective(P: LinearFormMatrix) -> RankProof:
     the algebraic closure, and no field elements are needed: it works over
     F_2 as well.  Over Q the rank is taken mod 32003 first (_rank_proof).
     """
-    v = P.ncols
-    return _rank_proof(P, v - 1, v * monomial_count(P.nvars, v - 1))
+    return _proved("injective", lambda: _rank_proof(P, P.ncols - 1, onto=False), P)
 
 
-def _rank_proof(P: LinearFormMatrix, d: int, target: int) -> RankProof:
-    """The rank of mult_map(P, d) against its full value `target`.
+def _rank_proof(P: LinearFormMatrix, d: int, onto: bool) -> RankProof:
+    """The rank of mult_map(P, d) against its full value, the target: its
+    number of rows when onto, else of columns.
 
     The rank is DenseMatrix.rank_over's: over Q a rank mod 32003 that
-    reaches `target` proves full rank, over "Fp:32003", and any other
+    reaches the target proves full rank, over "Fp:32003", and any other
     verdict over Q is reported over "Q".
     """
     m = mult_map(P, d)
+    target = m.nrows if onto else m.ncols
     r, over = m.rank_over()
     return RankProof(r == target, r, target, (m.nrows, m.ncols),
                      over if r == target else P.field.name)
@@ -705,7 +750,7 @@ def compose_check(B: LinearFormMatrix, A: LinearFormMatrix) -> bool:
         raise ShapeMismatchError(f"composite needs {B.ncols} = {A.nrows}")
     if B.nvars != A.nvars or B.field != A.field:
         raise ShapeMismatchError("composite needs matching variables and field")
-    return mult_map(B, 1).matmul(mult_map(A, 0)).is_zero()
+    return _proved("compose", lambda: mult_map(B, 1).matmul(mult_map(A, 0)).is_zero(), B, A)
 
 
 class Certificate(Record):
@@ -732,18 +777,11 @@ class Certificate(Record):
 
 def certify(A: LinearFormMatrix, B: LinearFormMatrix) -> Certificate:
     """Check B*A = 0 and take both onto_everywhere proofs, for any number
-    of variables; raises MonadLabError when the composite does not vanish."""
-    return _certify(A, B, None)
-
-
-def _certify(A: LinearFormMatrix, B: LinearFormMatrix, left: bool | None) -> Certificate:
-    """certify, reusing the verdict `left` of the A^T proof when the caller
-    has taken it; the composite is checked first either way."""
+    of variables; raises MonadLabError when the composite does not vanish.
+    Inside a proofs() scope each of the three is taken once."""
     if not compose_check(B, A):
         raise MonadLabError("composite does not vanish; not a monad")
-    if left is None:
-        left = onto_everywhere(A.transpose()).full
-    return Certificate(left, onto_everywhere(B).full)
+    return Certificate(onto_everywhere(A.transpose()).full, onto_everywhere(B).full)
 
 
 # ---------------------------------------------------------------------------

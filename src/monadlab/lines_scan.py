@@ -14,9 +14,12 @@ beta_i for the coefficient matrices of x_i.
 
 - The monad is certified once (exactlin.certify), or refused: the
   composite beta alpha vanishes iff beta_i alpha_i = 0 for every i and
-  beta_i alpha_j + beta_j alpha_i = 0 for every i < j.  When the scan's
-  local-freeness check has taken alpha^T's proof on this same monad, the
-  certificate reuses its verdict.
+  beta_i alpha_j + beta_j alpha_i = 0 for every i < j.  jumping_scan and
+  uniformity_evidence run in one exactlin.proofs() scope, so when the
+  local-freeness check (monad.require_locally_free) has taken alpha^T's
+  proof on the monad the scan splits, the certificate reads that verdict.
+  jumping_scan and codim_evidence accept a classification= argument and
+  ignore it; it stays only until the benchmark's worker stops passing it.
 - The certificate's two proofs say that beta is onto at every point of
   P^n, and alpha^T too, that is alpha is injective at every point.  Both
   hold over the algebraic closure, so they prove every line clean: no line
@@ -68,8 +71,8 @@ from operator import mul
 
 from ._record import Record
 from ._seeds import seed_of_text
-from .errors import MonadLabError, NotLocallyFreeError
-from .exactlin import GF, QQ, DenseMatrix, PrimeField, _certify, _echelon
+from .errors import MonadLabError
+from .exactlin import GF, QQ, DenseMatrix, PrimeField, _echelon, certify, proofs
 from .monad import COEFF_BOUND, SpecialMonad, invariants, require_locally_free, to_prime_field
 from .pencil import Line, check_line, line_status, restrict, splitting_type
 
@@ -126,20 +129,6 @@ def sample_line(seed: int, index: int, field, ambient_n: int = 3) -> Line:
     return Line(field, points, minors)
 
 
-def _require_locally_free(M: SpecialMonad, classification) -> bool | None:
-    """Refuse a sheaf that is not locally free: by its classification when
-    one is given, else by the one rank of monad.require_locally_free.  That
-    rank is M's alpha^T proof, so its verdict, True, is returned for M's
-    certificate to reuse; None when the classification decided."""
-    if classification is None:
-        require_locally_free(M, "line scans")
-        return True
-    if classification.level != "locally_free":
-        raise NotLocallyFreeError(f"line scans require a locally-free sheaf; "
-                                  f"classification is {classification.level}")
-    return None
-
-
 def _scan_field(M: SpecialMonad, prime: int) -> PrimeField:
     field = GF(prime)
     if M.field not in (QQ, field):
@@ -158,17 +147,15 @@ class _ScanContext:
     """The per-scan part of splitting lines of one monad M (module docstring).
 
     split_drawn returns (status, splitting parts or None) and the Line it
-    restricted, for a line of the scan's stream.  left is M's alpha^T
-    verdict when a local-freeness check has taken that proof, so the
-    certificate does not take it again.
+    restricted, for a line of the scan's stream.
     """
 
     __slots__ = ("M", "rank", "certificate", "jump_cells")
 
-    def __init__(self, M: SpecialMonad, left: bool | None = None):
+    def __init__(self, M: SpecialMonad):
         self.M = M
         self.rank = M.w - M.v - M.v_prime
-        self.certificate = _certify(M.alpha, M.beta, left)
+        self.certificate = certify(M.alpha, M.beta)
         # jump_cells[r][c] lists entry (r, c) of beta_j alpha_i, i < j in the
         # order of Line.minors, so J(L)[r][c] is its dot product with them
         self.jump_cells = None
@@ -255,28 +242,28 @@ class ScanReport(Record):
         }
 
 
+@proofs()
 def jumping_scan(M: SpecialMonad, prime: int, samples: int, seed: int = 0,
                  classification=None, keep_lines: bool = False) -> ScanReport:
     """Splitting statistics over `samples` random lines mod a prime.
 
     A line is jumping when its splitting is non-trivial; lines where the
     reduced left or right map drops rank are counted separately as
-    degenerate.  Requires a locally-free sheaf with c1 = 0.
+    degenerate.  Requires a locally-free sheaf with c1 = 0, decided by
+    monad.require_locally_free; classification is accepted and ignored.
     """
     field = _scan_field(M, prime)
     _check_samples(samples)
-    left = _require_locally_free(M, classification)
+    require_locally_free(M, "line scans")
     if invariants(M).c1 != 0:
         raise ValueError("jumping scans are defined for c1 = 0 sheaves")
-    return _scan(M, field, samples, seed, keep_lines, left)
+    return _scan(M, field, samples, seed, keep_lines)
 
 
 def _scan(M: SpecialMonad, field: PrimeField, samples: int, seed: int,
-          keep_lines: bool = False, left: bool | None = None) -> ScanReport:
-    """jumping_scan of M over `field`, its conditions already checked; left
-    is M's alpha^T verdict, reused when M already lives over `field`."""
-    Mp = to_prime_field(M, field.p)
-    split = _ScanContext(Mp, left if Mp is M else None).split_drawn
+          keep_lines: bool = False) -> ScanReport:
+    """jumping_scan of M over `field`, its conditions already checked."""
+    split = _ScanContext(to_prime_field(M, field.p)).split_drawn
     jumping = 0
     degenerate = 0
     spectrum: dict[tuple[int, ...], int] = {}
@@ -389,9 +376,11 @@ def codim_evidence(M: SpecialMonad, primes, samples: int, seed: int = 0,
     a pure codimension-1 jumping locus.
 
     Requires rank 2, locally free, c1 = 0 (the codimension statement is a
-    rank-2 theorem; for higher rank the scanner reports data only).  The
-    exponent is the least-squares slope of -log(fraction) against log(p);
-    its standard error propagates the binomial noise of the counts.
+    rank-2 theorem; for higher rank the scanner reports data only); local
+    freeness is decided by monad.require_locally_free, and classification
+    is accepted and ignored.  The exponent is the least-squares slope of
+    -log(fraction) against log(p); its standard error propagates the
+    binomial noise of the counts.
     """
     primes = list(primes)
     for p in primes:
@@ -399,7 +388,7 @@ def codim_evidence(M: SpecialMonad, primes, samples: int, seed: int = 0,
     if len(set(primes)) < 2:
         raise ValueError("need at least two distinct primes to estimate an exponent")
     _check_samples(samples)
-    _require_locally_free(M, classification)
+    require_locally_free(M, "line scans")
     inv = invariants(M)
     if inv.rank != 2 or inv.c1 != 0:
         raise ValueError("codimension evidence is defined for rank 2, c1 = 0")
@@ -460,8 +449,9 @@ class UniformityReport(Record):
         }
 
 
+@proofs()
 def uniformity_evidence(M: SpecialMonad, samples: int = 50, seed: int = 0,
-                        extra_lines=(), classification=None) -> UniformityReport:
+                        extra_lines=()) -> UniformityReport:
     """Sample splittings; equal splittings everywhere never certify
     uniformity, but a second splitting refutes it with a witness.
 
@@ -470,7 +460,7 @@ def uniformity_evidence(M: SpecialMonad, samples: int = 50, seed: int = 0,
     jumping lines must exist even if sampling missed them.
     """
     _check_samples(samples)
-    left = _require_locally_free(M, classification)
+    require_locally_free(M, "line scans")
     inv = invariants(M)
     spectrum: dict[tuple[int, ...], int] = {}
     degenerate = 0
@@ -479,7 +469,7 @@ def uniformity_evidence(M: SpecialMonad, samples: int = 50, seed: int = 0,
     extra = list(extra_lines)
     for line in extra:
         check_line(M, line)
-    split = _ScanContext(M, left).split_drawn
+    split = _ScanContext(M).split_drawn
     given = ((line.points, line.minors, line) for line in extra)
     drawn = ((points, minors, None) for points, minors
              in islice(_draws(seed, M.field, M.ambient_n), samples))

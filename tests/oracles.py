@@ -50,8 +50,7 @@ class ReferenceScan:
     reference that the scan's shortcuts must reproduce.
     """
 
-    def __init__(self, M, left=None):
-        # left (M's alpha^T verdict) is not read: the reference proves every line
+    def __init__(self, M):
         self.M = M
 
     def split(self, line):

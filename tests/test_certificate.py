@@ -205,9 +205,11 @@ def test_a_scan_with_a_bad_reduction_checks_the_composite_once(monkeypatch):
 
 
 def test_a_scan_takes_the_alpha_proof_once(monkeypatch):
+    # eliminations are counted, not calls: a proof read from the scan's
+    # proofs() scope is a call that eliminates nothing
     from monadlab import uniformity_evidence
     lf = example_monad("locally-free")
-    proofs = _count(monkeypatch, "onto_everywhere")
+    proofs = _count(monkeypatch, "_rank_proof")
     uniformity_evidence(lf, 5)
     assert len(proofs) == 2
     jumping_scan(to_prime_field(lf, 101), 101, 20)

@@ -82,7 +82,7 @@ def _reports(M, cls, scans, extra):
     samples = 12 if M.field == QQ else 60
     try:
         out["uniformity"] = uniformity_evidence(
-            M, samples, seed=5, extra_lines=extra, classification=cls).to_json_obj()
+            M, samples, seed=5, extra_lines=extra).to_json_obj()
     except NotLocallyFreeError as exc:
         out["uniformity"] = str(exc)
     out["trivial"] = trivial_splitting_test(M, samples, seed=5).to_json_obj()
@@ -136,7 +136,7 @@ def test_a_certified_scan_restricts_only_its_jumping_lines(monkeypatch):
     # a certified scan skips restrict, but not its refusal of a foreign line
     foreign = Line.from_points(GF(7), [1, 0, 0, 0], [0, 1, 0, 0])
     with pytest.raises(ShapeMismatchError, match="different fields"):
-        uniformity_evidence(M, 1, extra_lines=[foreign], classification=cls)
+        uniformity_evidence(M, 1, extra_lines=[foreign])
 
 
 def test_a_certified_scan_draws_bits_and_ranks_the_bare_echelon(monkeypatch):

@@ -228,23 +228,21 @@ def test_codim_evidence_exponent_regression_arithmetic():
 
 def test_uniformity_trivial_not_refuted():
     T = trivial_monad(2)
-    rep = uniformity_evidence(T, samples=20, classification=classify(T))
+    rep = uniformity_evidence(T, samples=20)
     assert not rep.refuted
     assert not any("tension" in n for n in rep.notes)
 
 
 def test_uniformity_on_the_locally_free_example():
     M = example_monad("locally-free")
-    cls = classify(M)
-    rep = uniformity_evidence(M, samples=40, seed=0, classification=cls)
+    rep = uniformity_evidence(M, samples=40, seed=0)
     # jumping lines have measure zero over Q, so sampling sees one splitting,
     # and the c2 = 1 tension note fires
     assert not rep.refuted
     assert any("tension" in n for n in rep.notes)
     # a known jumping line refutes uniformity with a witness
     jumper = Line.from_points(QQ, [1, 0, 0, 0], [0, 0, 1, 0])
-    rep2 = uniformity_evidence(M, samples=10, seed=0, extra_lines=[jumper],
-                               classification=cls)
+    rep2 = uniformity_evidence(M, samples=10, seed=0, extra_lines=[jumper])
     assert rep2.refuted
     assert rep2.witness is not None
 
@@ -253,10 +251,9 @@ def test_uniformity_streams_its_lines():
     # the sampled lines are split as they are drawn, never held together
     import tracemalloc
     M = to_prime_field(example_monad("locally-free"), 101)
-    cls = classify(M)
     tracemalloc.start()
     try:
-        rep = uniformity_evidence(M, samples=20000, seed=0, classification=cls)
+        rep = uniformity_evidence(M, samples=20000, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -382,8 +379,7 @@ def test_scan_mod_a_prime_where_beta_degenerates_at_some_points(bad_reduction_mo
     assert not st.clean and st.degenerate_map == "right"
     assert _ScanContext(M5).split_drawn(through.points, through.minors, through) == (
         "degenerate", None, through)
-    rep = uniformity_evidence(M5, samples=5, extra_lines=[through],
-                              classification=cls)
+    rep = uniformity_evidence(M5, samples=5, extra_lines=[through])
     assert rep.degenerate >= 1
     # line by line verdicts on 120 lines of this reduction are pinned in
     # test_line_verdicts_golden, case "(2,6,2)s3/F5"
