@@ -48,7 +48,6 @@ from .exactlin import (
     kernel_basis,
     monomial_basis,
     mult_map,
-    proofs,
     rank,
 )
 from .lines_scan import (

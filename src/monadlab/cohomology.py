@@ -77,7 +77,7 @@ from math import comb
 
 from ._record import Record
 from .errors import MonadLabError
-from .exactlin import Certificate, LinearFormMatrix, certify, monomial_count, mult_map, proofs
+from .exactlin import Certificate, LinearFormMatrix, certify, monomial_count, mult_map
 from .monad import SpecialMonad, _check_alpha_injective, invariants
 from .pointwise import classify
 
@@ -338,7 +338,6 @@ class StabilityReport(Record):
         return {name: getattr(self, name) for name in self.__slots__}
 
 
-@proofs()
 def stability_report(M: SpecialMonad, classification=None) -> StabilityReport:
     """Slope-stability verdicts from global-section vanishing.
 
@@ -352,9 +351,7 @@ def stability_report(M: SpecialMonad, classification=None) -> StabilityReport:
     refusals, and h^0(E) and h^0(E*) are columns 0 and -4 under that one
     certificate.  Its A^T proof says whether E is locally free; only a
     rank 2 or 3 sheaf with c1 = 0 on P3 that is not is classified
-    (pointwise.classify), unless its classification is passed in.  The
-    report runs in one exactlin.proofs() scope, so that classification
-    reads the certificate's A^T verdict instead of proving it again.
+    (pointwise.classify), unless its classification is passed in.
     """
     inv = invariants(M)
     # column -4's a*_0 (4v x w) is no larger than the alpha^T proof, so the

@@ -24,14 +24,17 @@ which checks a complex's composite and takes both onto_everywhere proofs
 once, for every pipeline to read.
 Matrices are dense; the intended scale is a few thousand rows at most.
 
-Inside a proofs() scope, compose_check, onto_everywhere and
+Inside a _proofs() scope, compose_check, onto_everywhere and
 generically_injective each answer a question already asked in the scope
 from its stored verdict.  The key is the question itself: its kind, the
 field, and the shape and every coefficient of each matrix.  A nested
-scope joins the outer one, and without a scope every call proves afresh,
-so no verdict outlives the scope that made it.  Pencils (two variables)
-are never stored: a scan proves a different pencil on each line, and
-storing them would grow with the sample count.
+scope joins the outer one, and without a scope every call proves afresh.
+The scope's verdicts live in one dict on a ContextVar, so a thread, or a
+context copied before the scope opened, sees none of them; a context
+copied while the scope is open (an asyncio task, say) shares that dict,
+and keeps it after the scope closes.  Pencils (two variables) are never
+stored: a scan proves a different pencil on each line, and storing them
+would grow with the sample count.
 """
 
 from __future__ import annotations
@@ -618,10 +621,10 @@ _memo = ContextVar("monadlab_proofs")
 
 
 @contextmanager
-def proofs():
+def _proofs():
     """Open a scope in which each proof is taken once (module docstring).
 
-    Use it as `with proofs():` or as the decorator `@proofs()`, which
+    Use it as `with _proofs():` or as the decorator `@_proofs()`, which
     opens a scope per call.  Inside an open scope it joins that scope.
     """
     token = _memo.set(_memo.get({}))
@@ -632,7 +635,7 @@ def proofs():
 
 
 def _proved(kind: str, prove, *mats: LinearFormMatrix):
-    """prove(), or in an open proofs() scope the verdict stored for the
+    """prove(), or in an open _proofs() scope the verdict stored for the
     same question: kind and field, and the shape and every coefficient of
     each matrix.  Pencils (two variables) are always proved."""
     memo = _memo.get(None)
@@ -778,7 +781,7 @@ class Certificate(Record):
 def certify(A: LinearFormMatrix, B: LinearFormMatrix) -> Certificate:
     """Check B*A = 0 and take both onto_everywhere proofs, for any number
     of variables; raises MonadLabError when the composite does not vanish.
-    Inside a proofs() scope each of the three is taken once."""
+    Inside a _proofs() scope each of the three is taken once."""
     if not compose_check(B, A):
         raise MonadLabError("composite does not vanish; not a monad")
     return Certificate(onto_everywhere(A.transpose()).full, onto_everywhere(B).full)

@@ -15,7 +15,7 @@ beta_i for the coefficient matrices of x_i.
 - The monad is certified once (exactlin.certify), or refused: the
   composite beta alpha vanishes iff beta_i alpha_i = 0 for every i and
   beta_i alpha_j + beta_j alpha_i = 0 for every i < j.  jumping_scan and
-  uniformity_evidence run in one exactlin.proofs() scope, so when the
+  uniformity_evidence run in one exactlin._proofs() scope, so when the
   local-freeness check (monad.require_locally_free) has taken alpha^T's
   proof on the monad the scan splits, the certificate reads that verdict.
   jumping_scan and codim_evidence accept a classification= argument and
@@ -72,7 +72,7 @@ from operator import mul
 from ._record import Record
 from ._seeds import seed_of_text
 from .errors import MonadLabError
-from .exactlin import GF, QQ, DenseMatrix, PrimeField, _echelon, certify, proofs
+from .exactlin import GF, QQ, DenseMatrix, PrimeField, _echelon, _proofs, certify
 from .monad import COEFF_BOUND, SpecialMonad, invariants, require_locally_free, to_prime_field
 from .pencil import Line, check_line, line_status, restrict, splitting_type
 
@@ -242,7 +242,7 @@ class ScanReport(Record):
         }
 
 
-@proofs()
+@_proofs()
 def jumping_scan(M: SpecialMonad, prime: int, samples: int, seed: int = 0,
                  classification=None, keep_lines: bool = False) -> ScanReport:
     """Splitting statistics over `samples` random lines mod a prime.
@@ -449,7 +449,7 @@ class UniformityReport(Record):
         }
 
 
-@proofs()
+@_proofs()
 def uniformity_evidence(M: SpecialMonad, samples: int = 50, seed: int = 0,
                         extra_lines=()) -> UniformityReport:
     """Sample splittings; equal splittings everywhere never certify

@@ -206,7 +206,7 @@ def test_a_scan_with_a_bad_reduction_checks_the_composite_once(monkeypatch):
 
 def test_a_scan_takes_the_alpha_proof_once(monkeypatch):
     # eliminations are counted, not calls: a proof read from the scan's
-    # proofs() scope is a call that eliminates nothing
+    # _proofs() scope is a call that eliminates nothing
     from monadlab import uniformity_evidence
     lf = example_monad("locally-free")
     proofs = _count(monkeypatch, "_rank_proof")

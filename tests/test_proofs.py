@@ -1,6 +1,6 @@
-"""Each fact proved once per scope: exactlin.proofs().
+"""Each fact proved once per scope: exactlin._proofs().
 
-Inside one proofs() scope, compose_check, onto_everywhere and
+Inside one _proofs() scope, compose_check, onto_everywhere and
 generically_injective answer a question already asked from the stored
 verdict.  These tests count eliminations (exactlin._rank_proof, and the
 product of compose_check), never calls: a verdict read from the scope is a
@@ -23,7 +23,6 @@ from monadlab import (
     example_monad,
     forms_matrix,
     jumping_scan,
-    proofs,
     random_monad,
     restrict,
     sample_line,
@@ -32,7 +31,13 @@ from monadlab import (
     validate,
 )
 from monadlab import exactlin
-from monadlab.exactlin import DenseMatrix, LinearFormMatrix, generically_injective, onto_everywhere
+from monadlab.exactlin import (
+    DenseMatrix,
+    LinearFormMatrix,
+    _proofs,
+    generically_injective,
+    onto_everywhere,
+)
 
 
 class _Counts:
@@ -76,7 +81,7 @@ def test_the_desk_sequence_proves_each_fact_once(monkeypatch, name):
     # onto_everywhere proofs, and admissibility's table reads all three
     M = example_monad(name)
     counts = _Counts(monkeypatch)
-    with proofs():
+    with _proofs():
         validate(M)
         classify(M)
         stability_report(M)
@@ -92,13 +97,19 @@ def test_the_desk_sequence_proves_each_fact_once(monkeypatch, name):
     assert counts() == (3, 4)
 
 
-def test_stability_takes_the_alpha_proof_once(monkeypatch):
-    # classify's locus starts from the alpha^T proof that the certificate took
+def test_stability_in_a_scope_takes_the_alpha_proof_once(monkeypatch):
+    # classify's locus starts from the alpha^T proof that the certificate
+    # took; stability_report opens no scope of its own, so alone it takes
+    # that proof twice
     from test_cohomology import _reflexive_rank3
     M = _reflexive_rank3()
     counts = _Counts(monkeypatch)
     rep = stability_report(M)
     assert (rep.stable, rep.h0, rep.h0_dual) == ("yes", 0, 0)
+    assert counts.rank_proofs == 8
+    counts = _Counts(monkeypatch)
+    with _proofs():
+        assert stability_report(M).to_json_obj() == rep.to_json_obj()
     assert counts.rank_proofs == 7
 
 
@@ -106,7 +117,7 @@ def test_sequential_scopes_share_nothing(monkeypatch):
     lf = example_monad("locally-free")
     counts = _Counts(monkeypatch)
     for _ in range(2):
-        with proofs():
+        with _proofs():
             certify(lf.alpha, lf.beta)
             certify(lf.alpha, lf.beta)
             assert len(_memo()) == 3
@@ -117,9 +128,9 @@ def test_sequential_scopes_share_nothing(monkeypatch):
 def test_a_nested_scope_joins_the_outer_one(monkeypatch):
     lf = example_monad("locally-free")
     counts = _Counts(monkeypatch)
-    with proofs():
+    with _proofs():
         onto_everywhere(lf.beta)
-        with proofs():
+        with _proofs():
             certify(lf.alpha, lf.beta)
         assert counts() == (1, 2)
         # what the inner scope proved stays with the outer one
@@ -128,11 +139,11 @@ def test_a_nested_scope_joins_the_outer_one(monkeypatch):
     assert exactlin._memo.get(None) is None
 
 
-def test_proofs_is_a_decorator_with_a_scope_per_call(monkeypatch):
+def test_the_scope_as_a_decorator_opens_one_per_call(monkeypatch):
     lf = example_monad("locally-free")
     counts = _Counts(monkeypatch)
 
-    @proofs()
+    @_proofs()
     def twice():
         certify(lf.alpha, lf.beta)
         certify(lf.alpha, lf.beta)
@@ -145,7 +156,7 @@ def test_proofs_is_a_decorator_with_a_scope_per_call(monkeypatch):
 def test_a_thread_or_a_copied_context_shares_nothing(monkeypatch):
     lf = example_monad("locally-free")
     counts = _Counts(monkeypatch)
-    with proofs():
+    with _proofs():
         certify(lf.alpha, lf.beta)
         # a thread starts in a context of its own, with no scope open
         seen = []
@@ -159,15 +170,30 @@ def test_a_thread_or_a_copied_context_shares_nothing(monkeypatch):
     ctx = contextvars.copy_context()
 
     def scoped():
-        with proofs():
+        with _proofs():
             certify(lf.alpha, lf.beta)
         return exactlin._memo.get(None)
 
     assert ctx.run(scoped) is None
     assert counts() == (3, 6)
-    with proofs():
+    with _proofs():
         certify(lf.alpha, lf.beta)
     assert counts() == (4, 8)
+
+
+def test_a_context_copied_in_a_scope_shares_its_verdicts(monkeypatch):
+    # the copy holds the scope's one dict: it reads the scope's verdicts,
+    # what it proves is stored there, and it keeps them after the scope
+    # closes
+    lf = example_monad("locally-free")
+    counts = _Counts(monkeypatch)
+    with _proofs():
+        onto_everywhere(lf.beta)
+        ctx = contextvars.copy_context()
+        ctx.run(certify, lf.alpha, lf.beta)
+        assert counts() == (1, 2) and len(_memo()) == 3
+    assert exactlin._memo.get(None) is None
+    assert len(ctx.run(_memo)) == 3
 
 
 def test_a_scan_memo_does_not_grow_with_its_lines():
@@ -176,7 +202,7 @@ def test_a_scan_memo_does_not_grow_with_its_lines():
     bad7 = to_prime_field(random_monad(2, 6, 2, seed=3), 7)
     sizes = []
     for samples in (3, 300):
-        with proofs():
+        with _proofs():
             rep = jumping_scan(bad7, 7, samples)
             sizes.append(len(_memo()))
         assert rep.degenerate == samples
@@ -187,7 +213,7 @@ def test_pencils_never_enter_the_memo(monkeypatch):
     M = random_monad(2, 6, 2, seed=0)
     pc = restrict(M, sample_line(0, 0, QQ))
     counts = _Counts(monkeypatch)
-    with proofs():
+    with _proofs():
         assert onto_everywhere(pc.B).full and onto_everywhere(pc.B).full
         assert _memo() == {}
     assert counts.rank_proofs == 2
@@ -201,7 +227,7 @@ def test_the_key_holds_the_field():
     M = SpecialMonad(3, LinearFormMatrix.zeros(QQ, 4, 0, 4), beta)
     M7 = to_prime_field(M, 7)
     assert M7.beta.coeffs == tuple(DenseMatrix(M7.field, 1, 4, c.data) for c in beta.coeffs)
-    with proofs():
+    with _proofs():
         assert certify(M.alpha, M.beta).right is True
         assert certify(M7.alpha, M7.beta).right is False
 
@@ -210,7 +236,7 @@ def test_the_key_holds_the_kind():
     # alpha of the locally-free example, O(-1) -> O^4: injective as a sheaf
     # map, and not onto anywhere
     alpha = example_monad("locally-free").alpha
-    with proofs():
+    with _proofs():
         assert not onto_everywhere(alpha).full
         assert generically_injective(alpha).full
 
@@ -219,6 +245,6 @@ def test_the_key_holds_the_shape():
     # a column and its transpose, a row, list the same coefficients in the
     # same order; alpha^T is onto everywhere, alpha is not
     alpha = example_monad("locally-free").alpha
-    with proofs():
+    with _proofs():
         assert onto_everywhere(alpha.transpose()).full
         assert not onto_everywhere(alpha).full

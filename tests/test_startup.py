@@ -43,7 +43,7 @@ PUBLIC = """
     NotRepresentableError ReconstructionError RetryExhaustedError ShapeMismatchError
     DEFAULT_PRIME QQ Certificate DenseMatrix GF LinearFormMatrix MonomialBasis PrimeField
     RationalField certify compose_check field_from_name forms_matrix kernel_basis
-    monomial_basis mult_map proofs rank
+    monomial_basis mult_map rank
     CodimEvidenceReport ScanReport TrivialSplittingReport UniformityReport codim_evidence
     jumping_scan sample_line trivial_splitting_test uniformity_evidence
     ChernData SpecialMonad ValidationReport decode direct_sum dualize encode example_monad
